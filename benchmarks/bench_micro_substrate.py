@@ -7,8 +7,9 @@ LSTM steps, SGNS epochs, LSH signatures, and pair featurisation.
 
 The ``pair scoring`` rows are the before/after pair for the
 :mod:`repro.kernels` rewrite: the same DeepER featurisation over the
-same 200 pairs, once through the per-pair loop (``kernels=False``) and
-once through the batched matmul path — plus the int8 quantized-store
+same 200 pairs, once through the per-pair reference
+(:func:`repro.er.deeper._pair_feature_row`) and once through the
+batched matmul path — plus the int8 quantized-store
 gather feeding :func:`repro.kernels.pair_feature_matrix` directly.
 These measurements calibrate the kernel cost model in
 ``bench_e17_serving``.
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.er import DeepER, LSHBlocker, pair_features
+from repro.er.deeper import _pair_feature_row
 from repro.kernels import pair_feature_matrix, quantize
 from repro.nn import Adam, LSTM, Tensor, bce_with_logits, mlp
 from repro.text import SkipGram
@@ -111,7 +113,7 @@ def test_micro_pair_featurisation(benchmark):
 
 @pytest.fixture(scope="module")
 def scoring_setup():
-    """A SIF DeepER embedder plus 200 deterministic record pairs.
+    """A SIF DeepER matcher plus 200 deterministic record pairs.
 
     40 distinct records appear across the 200 pairs — the repeat-heavy
     shape the serving workload has, which is exactly what the kernel's
@@ -132,32 +134,30 @@ def scoring_setup():
 
     distinct = [record(i) for i in range(40)]
     pairs = [(distinct[i % 40], distinct[(i * 7) % 40]) for i in range(200)]
-    matchers = {
-        kernels: DeepER(
-            model, ["title", "authors"], composition="sif", rng=0,
-            kernels=kernels,
-        )
-        for kernels in (False, True)
-    }
-    return matchers, pairs
+    matcher = DeepER(model, ["title", "authors"], composition="sif", rng=0)
+    return matcher, pairs
+
+
+def _loop_rows(pairs, embedder) -> np.ndarray:
+    return np.array([_pair_feature_row(pair, embedder) for pair in pairs])
 
 
 def test_micro_pair_scoring_loop(benchmark, scoring_setup):
     """DeepER featurisation of 200 pairs via the per-pair loop (before)."""
-    matchers, pairs = scoring_setup
+    matcher, pairs = scoring_setup
 
-    features = benchmark(matchers[False]._pair_features_numpy, pairs)
+    features = benchmark(_loop_rows, pairs, matcher.embedder)
     assert features.shape[0] == 200
 
 
 def test_micro_pair_scoring_kernel(benchmark, scoring_setup):
     """The same 200 pairs through the batched kernel (after) — and the
     two paths must agree bit-for-bit, which is the whole contract."""
-    matchers, pairs = scoring_setup
+    matcher, pairs = scoring_setup
 
-    features = benchmark(matchers[True]._pair_features_numpy, pairs)
+    features = benchmark(matcher._pair_features_numpy, pairs)
     assert features.shape[0] == 200
-    assert np.array_equal(features, matchers[False]._pair_features_numpy(pairs))
+    assert np.array_equal(features, _loop_rows(pairs, matcher.embedder))
 
 
 def test_micro_quantized_gather_features(benchmark, scoring_setup):
@@ -167,8 +167,8 @@ def test_micro_quantized_gather_features(benchmark, scoring_setup):
     dequantized rows gathered from the int8 store, query columns come in
     float; one `pair_feature_matrix` call scores the whole batch.
     """
-    matchers, pairs = scoring_setup
-    embedder = matchers[True].embedder
+    matcher, pairs = scoring_setup
+    embedder = matcher.embedder
     uniques = {id(r): r for r, _ in pairs} | {id(r): r for _, r in pairs}
     stack = np.array([embedder.embed_columns(r) for r in uniques.values()])
     row_of = {key: row for row, key in enumerate(uniques)}

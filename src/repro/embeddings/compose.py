@@ -64,6 +64,9 @@ class TupleEmbedder:
     vector_fn:
         Optional override mapping token → vector (e.g. subword back-off);
         defaults to the model's in-vocabulary lookup with zero for OOV.
+        Kept as passed (``None`` for the default), so two embedders'
+        token-vector functions compare equal exactly when they were
+        given the same one.
     """
 
     def __init__(
@@ -78,6 +81,7 @@ class TupleEmbedder:
         self.model = model
         self.columns = list(columns)
         self.method = method
+        self.vector_fn = vector_fn
         self._vector_fn = vector_fn or self._default_vector
 
     def _default_vector(self, token: str) -> np.ndarray:

@@ -16,7 +16,6 @@ weighting and negative undersampling.
 from __future__ import annotations
 
 import hashlib
-from functools import partial
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import Tensor, concat
 from repro.nn.training import iterate_minibatches
 from repro.obs.metrics import REGISTRY as _OBS
-from repro.par import pmap
 from repro.text.word2vec import SkipGram
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_fitted
@@ -49,10 +47,6 @@ def _pair_feature_row(pair: "Pair", embedder: TupleEmbedder) -> np.ndarray:
     pairwise summation, identical per row in scalar and batched form) —
     never ``np.linalg.norm`` or ``@``, whose BLAS accumulation order
     drifts in the last ulp.
-
-    Module-level (pickled by reference) so :func:`repro.par.pmap` can run
-    it in worker processes; chunk-ordered concatenation reproduces the
-    serial matrix bitwise.
     """
     record_a, record_b = pair
     u_cols = embedder.embed_columns(record_a)
@@ -101,14 +95,6 @@ class DeepER:
     jobs:
         Process count for pair featurisation (fixed compositions); the
         output is bit-identical for every value (see :mod:`repro.par`).
-    kernels:
-        When True (default) fixed-composition pair featurisation runs
-        through the batched :mod:`repro.kernels` path — records are
-        deduplicated and composed once each, features come from one
-        array reduction per batch.  False selects the per-pair loop
-        reference; the two are bit-identical (the differential tier in
-        ``tests/kernels/`` enforces it), so this switch changes speed,
-        never answers.
     """
 
     def __init__(
@@ -123,7 +109,6 @@ class DeepER:
         vector_fn: VectorFn | None = None,
         rng: np.random.Generator | int | None = None,
         jobs: int = 1,
-        kernels: bool = True,
     ) -> None:
         if composition not in {"mean", "sif", "lstm", "cnn"}:
             raise ValueError(
@@ -133,7 +118,6 @@ class DeepER:
         self.columns = list(columns)
         self.max_tokens = max_tokens
         self.jobs = jobs
-        self.kernels = kernels
         self.pos_weight = pos_weight
         self.undersample_ratio = undersample_ratio
         self._rng = ensure_rng(rng)
@@ -196,38 +180,24 @@ class DeepER:
         vector scale-invariant, which matters when attributes have very
         different token counts.
 
-        With ``self.kernels`` (default) the matrix comes from the batched
-        :func:`repro.kernels.features.compose_pair_features` — unique
-        records composed once, one array reduction for the whole batch;
-        otherwise each row is the per-pair loop reference, optionally
-        fanned out over a process pool (``self.jobs > 1``).  Both paths
-        are bit-identical and pure functions of ``pairs``, so either runs
-        under the same short retry budget at fault site
+        The matrix comes from the batched :func:`repro.kernels.features.
+        compose_pair_features` — unique records composed once, one array
+        reduction for the whole batch, bit-identical to stacking
+        :func:`_pair_feature_row` per pair.  It is a pure function of
+        ``pairs``, so it runs under a short retry budget at fault site
         ``er.deeper.pair_features``.
         """
-        if self.kernels:
-            return retry_call(
-                compose_pair_features,
-                pairs,
-                embedder=self.embedder,
-                jobs=self.jobs,
-                site="er.deeper.pair_features",
-                policy=HOT_POLICY,
-                validate=lambda matrix: (
-                    isinstance(matrix, np.ndarray) and len(matrix) == len(pairs)
-                ),
-            )
-        features = retry_call(
-            pmap,
-            partial(_pair_feature_row, embedder=self.embedder),
+        return retry_call(
+            compose_pair_features,
             pairs,
+            embedder=self.embedder,
             jobs=self.jobs,
-            label="deeper.pair_features",
             site="er.deeper.pair_features",
             policy=HOT_POLICY,
-            validate=lambda rows: isinstance(rows, list) and len(rows) == len(pairs),
+            validate=lambda matrix: (
+                isinstance(matrix, np.ndarray) and len(matrix) == len(pairs)
+            ),
         )
-        return np.array(features)
 
     def _token_batches(self, pairs: list[Pair]) -> tuple[np.ndarray, np.ndarray]:
         mat_a = np.array(

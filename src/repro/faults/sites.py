@@ -48,7 +48,8 @@ RETRY_SITES: dict[str, str] = {
     "er.blocking.token": "TokenBlocker.candidate_pairs rare-token probe (attempts=2)",
     "er.deeper.pair_features": "DeepER pair featurisation (attempts=2)",
     "serve.score": (
-        "MatchService batch scoring via DeepER.predict_proba; validated "
+        "match-service batch scoring: one batched kernels.score_pairs "
+        "call shared by MatchService and ShardedMatchService; validated "
         "shape/finiteness, retried under HOT_POLICY (attempts=2)"
     ),
     "serve.shard.query": (

@@ -12,8 +12,8 @@ across runs, hosts and ``jobs`` settings:
   hit/miss/eviction accounting;
 * :mod:`repro.serve.index` — build-once/probe-often LSH blocking index;
 * :mod:`repro.serve.service` — :class:`MatchService`, read-only
-  inference composing index lookup with one coalesced
-  ``predict_proba`` call per batch;
+  inference composing index lookup with one coalesced batched-kernel
+  scoring call per batch (bit-equal to the offline ``predict_proba``);
 * :mod:`repro.serve.workload` — seeded open-loop query generator;
 * :mod:`repro.serve.sim` — the micro-batching/admission-control
   event loop and its latency/throughput report;

@@ -3,8 +3,9 @@
 :class:`MatchService` answers "does tuple *t* match anything in the
 indexed table?" by composing two existing layers behind an inference-only
 contract: blocking-index candidate lookup (:class:`repro.serve.index.
-BlockingIndex`) followed by one :meth:`repro.er.deeper.DeepER.predict_proba`
-call over every not-yet-cached (query, candidate) pair in the batch.
+BlockingIndex`) followed by one batched :func:`repro.kernels.score.
+score_pairs` call over every not-yet-cached (query, candidate) pair in
+the batch, bit-identical to the offline ``DeepER.predict_proba``.
 That single coalesced scoring call is the micro-batching win the
 scheduler (:mod:`repro.serve.sim`) exists to exploit: N concurrent
 queries cost one model invocation, not N.
@@ -12,8 +13,7 @@ queries cost one model invocation, not N.
 Read-only contract
 ------------------
 Serving never trains.  The service puts the matcher in eval mode at
-construction and — with ``DeepER.predict_proba`` now restoring the
-*prior* mode — it stays there; lint rule RL901 statically bans ``.fit``,
+construction and it stays there; lint rule RL901 statically bans ``.fit``,
 ``optimizer.step``/``.backward`` and ``.data`` mutation anywhere under
 ``repro/serve/``, and :meth:`parameter_fingerprint` lets tests assert the
 weights are byte-identical before and after any amount of traffic.
@@ -34,12 +34,14 @@ a retrained candidate and swaps it in without rebuilding the service.
 The cache-invalidation contract is exact: the **score cache is cleared**
 (its entries are model outputs) while the **embedding and column caches
 are kept** — their contents are functions of the embedder configuration
-(word model, columns, composition method), which swap validation pins
-equal, never of the classifier weights being replaced.  Swapping to a
-matcher with the *same* parameter fingerprint is a no-op: no rebind, no
-cache clear, provably unchanged answers and cache counters.  The commit
-runs under validated, retried fault site ``serve.swap`` (idempotent: a
-retried commit observes the already-swapped fingerprint and no-ops).
+(word model, columns, composition method, token-vector function), which
+:func:`check_servable` pins to the index's, never of the classifier
+weights being replaced.  Swapping to a matcher with the *same* parameter
+fingerprint is a no-op: no rebind, no cache clear, provably unchanged
+answers and cache counters.  The commit runs under validated, retried
+fault site ``serve.swap`` (idempotent: a retried commit observes the
+already-swapped fingerprint and no-ops).  The sharded service shares the
+swap (:func:`swap_validated`) and the scoring call (:func:`score_columns`).
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from repro.faults.plan import inject
 from repro.faults.retry import HOT_POLICY, retry_call
 from repro.kernels.features import unique_column_stack
 from repro.kernels.score import score_pairs
+from repro.nn.layers import Module
 from repro.obs.metrics import REGISTRY as _OBS
 from repro.serve.cache import LRUCache, MISSING, CacheStatsView, content_key
 from repro.serve.index import BlockingIndex
@@ -68,6 +71,68 @@ def looks_like_fingerprint(value: object) -> bool:
         and len(value) == 40
         and all(c in "0123456789abcdef" for c in value)
     )
+
+
+def check_servable(matcher: DeepER, index: BlockingIndex) -> None:
+    """Reject a matcher the kernel scoring path would score wrongly.
+
+    Query columns come from the matcher's embedder and candidate columns
+    from the index's, so both must share the word model (by identity),
+    compare columns, composition method and token-vector function.
+    Trainable composers are refused: they are not column-decomposable.
+    """
+    check_fitted(matcher, "trained_")
+    if matcher.composition not in ("mean", "sif"):
+        raise ValueError(f"cannot serve composition {matcher.composition!r}")
+    ours, theirs = matcher.embedder, index.embedder
+    if ours.columns != theirs.columns:
+        raise ValueError(
+            f"compare columns differ from the index's "
+            f"({ours.columns!r} != {theirs.columns!r})"
+        )
+    if ours.method != theirs.method:
+        raise ValueError(
+            f"composition differs from the index's "
+            f"({ours.method!r} != {theirs.method!r})"
+        )
+    if ours.model is not theirs.model or ours.vector_fn != theirs.vector_fn:
+        raise ValueError("embedder differs from the index's (word model or vector_fn)")
+
+
+def swap_validated(service, matcher: DeepER, index: BlockingIndex) -> str:
+    """The validated hot swap both match services share.
+
+    :func:`check_servable`, then ``service._swap`` (idempotent) under
+    validated, retried site ``serve.swap``; counts real swaps.
+    """
+    check_servable(matcher, index)
+    before = service.parameter_fingerprint()
+    fingerprint = retry_call(service._swap, matcher, site="serve.swap",
+                             policy=HOT_POLICY, validate=looks_like_fingerprint)
+    if _OBS.enabled and fingerprint != before:
+        _OBS.counter("serve.swaps").inc()
+    return fingerprint
+
+
+def score_columns(
+    classifier: Module, u_cols: np.ndarray, v_cols: np.ndarray
+) -> np.ndarray:
+    """The retried, validated ``serve.score`` call both services make."""
+    probabilities = retry_call(
+        score_pairs, classifier, u_cols, v_cols,
+        site="serve.score",
+        policy=HOT_POLICY,
+        validate=lambda p: (
+            isinstance(p, np.ndarray)
+            and p.shape == (len(u_cols),)
+            and bool(np.all(np.isfinite(p)))
+        ),
+    )
+    if _OBS.enabled:
+        _OBS.counter("serve.predict_calls").inc()
+        _OBS.counter("serve.scored_pairs").inc(float(len(u_cols)))
+        _OBS.histogram("serve.score_batch_pairs").observe(len(u_cols))
+    return probabilities
 
 
 @dataclass(frozen=True)
@@ -99,7 +164,7 @@ class BatchReport:
     ``scored_pairs`` is the number of *unique uncached* pairs sent to the
     matcher (the simulated cost model charges per scored pair, so cache
     hits make batches measurably faster); ``predict_calls`` is 0 or 1 —
-    the whole batch shares at most one ``predict_proba`` invocation.
+    the whole batch shares at most one scoring call.
     """
 
     answers: "list[MatchAnswer]"
@@ -114,8 +179,8 @@ class MatchService:
     Parameters
     ----------
     matcher:
-        Fitted :class:`DeepER` (fixed composition for the cached-embedding
-        path); flipped to eval mode at construction and kept there.
+        Fitted :class:`DeepER` servable over ``index``
+        (:func:`check_servable`); flipped to eval mode at construction.
     index:
         Built :class:`BlockingIndex` over the reference table.
     threshold:
@@ -124,19 +189,8 @@ class MatchService:
         Explicit :mod:`repro.par` process count for query embedding and
         pair featurisation (bit-identical results for every value).
     embedding_cache_size / score_cache_size:
-        LRU capacities; 0 disables the respective cache.  The kernel
-        scoring path adds a third cache (query *column* embeddings) sized
-        like the embedding cache.
-    scoring:
-        ``"kernel"`` (default) scores uncached pairs with the batched
-        :mod:`repro.kernels` path — query columns come from the column
-        cache (embedded once per unique tuple), candidate columns are
-        gathered from the index's precomputed store, one classifier
-        forward per batch.  ``"loop"`` keeps the historical
-        ``predict_proba`` call; with an unquantized index the two are
-        bit-identical (the serving differential tests assert it).
-        Trainable composers always take the loop path — their pair
-        representation is not column-decomposable.
+        LRU capacities; 0 disables the respective cache.  A third cache
+        (query *column* embeddings) is sized like the embedding cache.
     cache_scope:
         Prefix for the cache names (and therefore the guarded
         ``serve.cache.<scope><name>.*`` metric counters).  The sharded
@@ -155,26 +209,20 @@ class MatchService:
         jobs: int = 1,
         embedding_cache_size: int = 1024,
         score_cache_size: int = 4096,
-        scoring: str = "kernel",
         cache_scope: str = "",
     ) -> None:
-        check_fitted(matcher, "trained_")
+        check_servable(matcher, index)
         if not index.built:
             raise RuntimeError("BlockingIndex must be built before serving")
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-        if scoring not in {"kernel", "loop"}:
-            raise ValueError(f"scoring must be 'kernel' or 'loop', got {scoring!r}")
         self.matcher = matcher
         self.index = index
         self.threshold = threshold
         self.jobs = jobs
-        self.scoring = "loop" if matcher.composer is not None else scoring
         # Serving owns the matcher: inference-only mode, explicit jobs.
         self.matcher.jobs = jobs
         self.matcher.classifier.eval()
-        if self.matcher.composer is not None:
-            self.matcher.composer.eval()
         self.embedding_cache = LRUCache(embedding_cache_size,
                                         name=f"{cache_scope}embedding")
         self.score_cache = LRUCache(score_cache_size, name=f"{cache_scope}score")
@@ -197,36 +245,15 @@ class MatchService:
     def swap_matcher(self, matcher: DeepER) -> str:
         """Hot-swap a promoted matcher in; returns its fingerprint.
 
-        Validates compatibility first (same compare columns and
-        composition — the embedder configuration the kept caches depend
-        on), then commits under validated fault site ``serve.swap``.
-        The commit clears exactly the score cache (model outputs) and
-        keeps the embedding/column caches (model-independent contents);
+        Validates compatibility first (:func:`check_servable` pins the
+        embedder configuration the kept caches depend on to the index's),
+        then commits under validated fault site ``serve.swap``.  The
+        commit clears exactly the score cache (model outputs) and keeps
+        the embedding/column caches (model-independent contents);
         swapping to the currently served fingerprint is a no-op that
         touches neither caches nor counters.
         """
-        check_fitted(matcher, "trained_")
-        if matcher.columns != self.matcher.columns:
-            raise ValueError(
-                f"cannot swap matcher: compare columns differ "
-                f"({matcher.columns!r} != {self.matcher.columns!r})"
-            )
-        if matcher.composition != self.matcher.composition:
-            raise ValueError(
-                f"cannot swap matcher: composition differs "
-                f"({matcher.composition!r} != {self.matcher.composition!r})"
-            )
-        before = self.parameter_fingerprint()
-        fingerprint = retry_call(
-            self._swap,
-            matcher,
-            site="serve.swap",
-            policy=HOT_POLICY,
-            validate=looks_like_fingerprint,
-        )
-        if _OBS.enabled and fingerprint != before:
-            _OBS.counter("serve.swaps").inc()
-        return fingerprint
+        return swap_validated(self, matcher, self.index)
 
     def _swap(self, matcher: DeepER) -> str:
         """Idempotent swap commit (runs under the ``serve.swap`` site).
@@ -240,8 +267,6 @@ class MatchService:
             return fingerprint
         matcher.jobs = self.jobs
         matcher.classifier.eval()
-        if matcher.composer is not None:
-            matcher.composer.eval()
         self.matcher = matcher
         # Invalidate exactly the model-dependent tier.  Embedding and
         # column cache entries are functions of the embedder config
@@ -268,7 +293,7 @@ class MatchService:
         Stages: content-keyed embedding-cache consult → one
         :func:`repro.par.pmap` embedding pass over the misses → candidate
         lookup per query → score-cache consult → one validated, retried
-        ``predict_proba`` over every unique uncached pair → answers
+        scoring call over every unique uncached pair → answers
         assembled from the (now fully populated) score cache.
         """
         if not records:
@@ -292,7 +317,7 @@ class MatchService:
         candidates_by_key = self.candidate_map(embeddings, distinct)
 
         # Scoring stage: consult the score cache per unique pair, then send
-        # every uncached pair to the matcher in a single predict_proba call.
+        # every uncached pair to the matcher in a single scoring call.
         # ``scores_now`` carries this batch's scores locally so answers do
         # not depend on cache capacity (a 0-capacity cache stores nothing).
         scores_now, hits_by_key, to_score = self.consult_scores(candidates_by_key)
@@ -390,42 +415,23 @@ class MatchService:
         self,
         to_score: "list[tuple[str, str]]",
         record_by_key: "dict[str, dict[str, object]]",
-        columns_by_key: "dict[str, np.ndarray] | None" = None,
     ) -> np.ndarray:
         """One validated, retried scoring call over the uncached pairs.
 
-        Scores land in the score cache and are returned in ``to_score``
-        order.  ``columns_by_key`` lets the scatter-gather router supply
-        query columns it already resolved on each key's home shard; left
-        ``None``, the kernel path resolves them through this service's own
-        column cache.
+        Query columns come through the column cache (embedded once per
+        unique tuple), candidate columns from the index's precomputed
+        store.  Scores land in the score cache and are returned in
+        ``to_score`` order.
         """
-        if self.scoring == "kernel":
-            scorer = self._score_pairs_kernel
-            scorer_args = (to_score, record_by_key, columns_by_key)
-        else:
-            pair_records = [
-                (record_by_key[key], self.index.record(candidate_id))
-                for key, candidate_id in to_score
-            ]
-            scorer, scorer_args = self.matcher.predict_proba, (pair_records,)
-        probabilities = retry_call(
-            scorer,
-            *scorer_args,
-            site="serve.score",
-            policy=HOT_POLICY,
-            validate=lambda p: (
-                isinstance(p, np.ndarray)
-                and p.shape == (len(to_score),)
-                and bool(np.all(np.isfinite(p)))
-            ),
-        )
+        columns = self.resolve_columns([
+            (key, record_by_key[key])
+            for key in dict.fromkeys(k for k, _ in to_score)
+        ])
+        u_cols = np.array([columns[key] for key, _ in to_score])
+        v_cols = self.index.column_rows([c for _, c in to_score])
+        probabilities = score_columns(self.matcher.classifier, u_cols, v_cols)
         for pair_key, probability in zip(to_score, probabilities):
             self.score_cache.put(pair_key, float(probability))
-        if _OBS.enabled:
-            _OBS.counter("serve.predict_calls").inc()
-            _OBS.counter("serve.scored_pairs").inc(float(len(to_score)))
-            _OBS.histogram("serve.score_batch_pairs").observe(len(to_score))
         return probabilities
 
     def resolve_columns(
@@ -454,31 +460,6 @@ class MatchService:
                 columns[key] = stack[row]
                 self.column_cache.put(key, stack[row])
         return columns
-
-    def _score_pairs_kernel(
-        self,
-        to_score: "list[tuple[str, str]]",
-        record_by_key: "dict[str, dict[str, object]]",
-        columns_by_key: "dict[str, np.ndarray] | None" = None,
-    ) -> np.ndarray:
-        """Batched scoring of the uncached pairs via :mod:`repro.kernels`.
-
-        Query columns are embedded **once per unique tuple** — first from
-        the column cache, misses through one deduplicated
-        :func:`unique_column_stack` pass — and candidate columns are
-        gathered from the index's precomputed store, so no reference tuple
-        is ever re-embedded at serving time.  One classifier forward per
-        batch; with an unquantized store the probabilities are
-        bit-identical to the loop path's ``predict_proba``.
-        """
-        if columns_by_key is None:
-            columns_by_key = self.resolve_columns([
-                (key, record_by_key[key])
-                for key in dict.fromkeys(k for k, _ in to_score)
-            ])
-        u_cols = np.array([columns_by_key[key] for key, _ in to_score])
-        v_cols = self.index.column_rows([c for _, c in to_score])
-        return score_pairs(self.matcher.classifier, u_cols, v_cols)
 
     def _assemble(
         self,

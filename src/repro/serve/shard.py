@@ -46,12 +46,10 @@ import numpy as np
 from repro.er.deeper import DeepER
 from repro.faults.plan import inject, inject_result
 from repro.faults.retry import CorruptedResult, HOT_POLICY, RetryExhausted, retry_call
-from repro.kernels.score import score_pairs
 from repro.obs.metrics import REGISTRY as _OBS
 from repro.serve.cache import CacheStatsView, content_key
 from repro.serve.index import BlockingIndex
-from repro.serve.service import BatchReport, MatchService, looks_like_fingerprint
-from repro.utils.validation import check_fitted
+from repro.serve.service import BatchReport, MatchService, score_columns, swap_validated
 
 __all__ = [
     "ShardBatchReport",
@@ -145,7 +143,6 @@ class ShardedMatchService:
         jobs: int = 1,
         embedding_cache_size: int = 1024,
         score_cache_size: int = 4096,
-        scoring: str = "kernel",
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -165,7 +162,6 @@ class ShardedMatchService:
                     threshold=threshold, jobs=jobs,
                     embedding_cache_size=embedding_cache_size,
                     score_cache_size=score_cache_size,
-                    scoring=scoring,
                     cache_scope=f"shard{shard_id}.",
                 )
                 for _ in range(self.replicas)
@@ -180,7 +176,6 @@ class ShardedMatchService:
             groups.append(ShardGroup(shard_id=shard_id, replicas=services))
         self._groups: tuple[ShardGroup, ...] = tuple(groups)
         self.threshold = threshold
-        self.scoring = self._groups[0].primary.scoring
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -206,38 +201,16 @@ class ShardedMatchService:
     def swap_matcher(self, matcher: DeepER) -> str:
         """Hot-swap every replica of every shard; returns the fingerprint.
 
-        Same contract as :meth:`MatchService.swap_matcher` — score tiers
-        cleared, embedding/column tiers kept, same-fingerprint swap is a
-        no-op — committed for the whole topology under **one** validated
-        ``serve.swap`` call.  The per-replica commits are idempotent, so
+        Same contract and shared code as :meth:`MatchService.swap_matcher`
+        — score tiers cleared, embedding/column tiers kept,
+        same-fingerprint swap is a no-op — committed for the whole
+        topology under **one** validated ``serve.swap`` call.  The per-replica commits are idempotent, so
         a retried commit (error or corrupted return under chaos) leaves
         the registry of shards in exactly the single-commit state.
         """
-        reference = self._groups[0].primary.matcher
-        check_fitted(matcher, "trained_")
-        if matcher.columns != reference.columns:
-            raise ValueError(
-                f"cannot swap matcher: compare columns differ "
-                f"({matcher.columns!r} != {reference.columns!r})"
-            )
-        if matcher.composition != reference.composition:
-            raise ValueError(
-                f"cannot swap matcher: composition differs "
-                f"({matcher.composition!r} != {reference.composition!r})"
-            )
-        before = self.parameter_fingerprint()
-        fingerprint = retry_call(
-            self._swap_all,
-            matcher,
-            site="serve.swap",
-            policy=HOT_POLICY,
-            validate=looks_like_fingerprint,
-        )
-        if _OBS.enabled and fingerprint != before:
-            _OBS.counter("serve.swaps").inc()
-        return fingerprint
+        return swap_validated(self, matcher, self._groups[0].primary.index)
 
-    def _swap_all(self, matcher: DeepER) -> str:
+    def _swap(self, matcher: DeepER) -> str:
         """Idempotent whole-topology swap commit (site ``serve.swap``)."""
         fingerprints = {
             replica._swap(matcher)
@@ -318,8 +291,8 @@ class ShardedMatchService:
         Stages: route distinct keys to home shards (validated site
         ``serve.shard.route``) → per-home-shard embedding resolution →
         per-shard candidate lookup + score-cache consult → per-home-shard
-        column resolution (kernel path) → per-shard scoring of that
-        shard's uncached pairs → sorted-union merge and assembly.  Every
+        column resolution → one scoring call over every shard's uncached
+        pairs → sorted-union merge and assembly.  Every
         per-shard step runs under :meth:`_shard_call` failover.
         """
         if not records:
@@ -412,29 +385,25 @@ class ShardedMatchService:
             if (pair_key := (key, candidate_id)) in owner_of
         ]
 
-        # Column stage (kernel scoring only): resolve each scoring key's
-        # column stack once, on its home shard, and hand the stacks to
-        # every scoring shard — one consult total, like the unsharded
-        # service.
-        columns_by_key: dict[str, np.ndarray] | None = None
-        if self.scoring == "kernel":
-            columns_by_key = {}
-            scoring_keys = list(dict.fromkeys(
-                key for shard_pairs in to_score_by_shard
-                for key, _ in shard_pairs
-            ))
-            for shard_id in sorted({home_by_key[k] for k in scoring_keys}):
-                keyed = [(k, record_by_key[k]) for k in scoring_keys
-                         if home_by_key[k] == shard_id]
-                shard_columns, used = self._shard_call(
-                    self._groups[shard_id],
-                    lambda svc, keyed=keyed: svc.resolve_columns(keyed),
-                    validate=lambda r, keyed=keyed: (
-                        isinstance(r, dict) and set(r) == {k for k, _ in keyed}
-                    ),
-                )
-                columns_by_key.update(shard_columns)
-                failovers += used
+        # Column stage: resolve each scoring key's column stack once, on
+        # its home shard, and hand the stacks to the scoring call — one
+        # consult total, like the unsharded service.
+        columns_by_key: dict[str, np.ndarray] = {}
+        scoring_keys = list(dict.fromkeys(
+            key for shard_pairs in to_score_by_shard for key, _ in shard_pairs
+        ))
+        for shard_id in sorted({home_by_key[k] for k in scoring_keys}):
+            keyed = [(k, record_by_key[k]) for k in scoring_keys
+                     if home_by_key[k] == shard_id]
+            shard_columns, used = self._shard_call(
+                self._groups[shard_id],
+                lambda svc, keyed=keyed: svc.resolve_columns(keyed),
+                validate=lambda r, keyed=keyed: (
+                    isinstance(r, dict) and set(r) == {k for k, _ in keyed}
+                ),
+            )
+            columns_by_key.update(shard_columns)
+            failovers += used
 
         # Scoring stage: one coalesced, retried call over the canonical
         # pair order, with each pair's reference side gathered from (and
@@ -449,9 +418,7 @@ class ShardedMatchService:
         # service.
         predict_calls = 0
         if to_score:
-            used = self._score_merged(
-                to_score, record_by_key, columns_by_key, scores_now
-            )
+            used = self._score_merged(to_score, columns_by_key, scores_now)
             predict_calls = 1
             failovers += used
 
@@ -488,74 +455,42 @@ class ShardedMatchService:
     def _score_merged(
         self,
         to_score: "list[tuple[str, str]]",
-        record_by_key: "dict[str, dict[str, object]]",
-        columns_by_key: "dict[str, np.ndarray] | None",
+        columns_by_key: "dict[str, np.ndarray]",
         scores_now: "dict[tuple[str, str], float]",
     ) -> int:
         """Score ``to_score`` (canonical order) once; returns failovers.
 
-        Reference columns/records come from each pair's owning shard
-        (gathered under :meth:`_shard_call` failover, stitched back into
-        the canonical order — exact row copies, so the stitched matrix is
+        Reference columns come from each pair's owning shard (gathered
+        under :meth:`_shard_call` failover, stitched back into the
+        canonical order — exact row copies, so the stitched matrix is
         bit-identical to the unsharded gather), the retried scoring call
-        runs at site ``serve.score`` exactly like the unsharded service,
-        and each score lands in the owning shard's cache.
+        is the unsharded service's, and each score lands in the owning
+        shard's cache.
         """
-        groups_of: dict[int, list[int]] = {}
-        for position, (_, candidate_id) in enumerate(to_score):
-            owner = shard_of_id(candidate_id, self.n_shards)
-            groups_of.setdefault(owner, []).append(position)
+        owners = [shard_of_id(candidate_id, self.n_shards)
+                  for _, candidate_id in to_score]
+        positions_of: dict[int, list[int]] = {}
+        for position, owner in enumerate(owners):
+            positions_of.setdefault(owner, []).append(position)
+        u_cols = np.array([columns_by_key[key] for key, _ in to_score])
+        v_cols = np.empty_like(u_cols)
         failovers = 0
-        if self.scoring == "kernel":
-            assert columns_by_key is not None
-            u_cols = np.array([columns_by_key[key] for key, _ in to_score])
-            v_cols = np.empty_like(u_cols)
-            for shard_id in sorted(groups_of):
-                positions = groups_of[shard_id]
-                wanted = [to_score[p][1] for p in positions]
-                rows, used = self._shard_call(
-                    self._groups[shard_id],
-                    lambda svc, ids=wanted: svc.index.column_rows(ids),
-                    validate=lambda r, ids=wanted: (
-                        isinstance(r, np.ndarray) and len(r) == len(ids)
-                    ),
-                )
-                v_cols[positions] = rows
-                failovers += used
-            scorer = score_pairs
-            scorer_args = (
-                self._groups[0].primary.matcher.classifier, u_cols, v_cols,
+        for shard_id in sorted(positions_of):
+            positions = positions_of[shard_id]
+            wanted = [to_score[p][1] for p in positions]
+            rows, used = self._shard_call(
+                self._groups[shard_id],
+                lambda svc, ids=wanted: svc.index.column_rows(ids),
+                validate=lambda r, ids=wanted: (
+                    isinstance(r, np.ndarray) and len(r) == len(ids)
+                ),
             )
-        else:
-            pair_records = [
-                (
-                    record_by_key[key],
-                    self._groups[shard_of_id(candidate_id, self.n_shards)]
-                    .primary.index.record(candidate_id),
-                )
-                for key, candidate_id in to_score
-            ]
-            scorer = self._groups[0].primary.matcher.predict_proba
-            scorer_args = (pair_records,)
-        probabilities = retry_call(
-            scorer,
-            *scorer_args,
-            site="serve.score",
-            policy=HOT_POLICY,
-            validate=lambda p: (
-                isinstance(p, np.ndarray)
-                and p.shape == (len(to_score),)
-                and bool(np.all(np.isfinite(p)))
-            ),
-        )
-        for pair_key, probability in zip(to_score, probabilities):
+            v_cols[positions] = rows
+            failovers += used
+        probabilities = score_columns(self.matcher.classifier, u_cols, v_cols)
+        for pair_key, owner, probability in zip(to_score, owners, probabilities):
             scores_now[pair_key] = float(probability)
-            owner = shard_of_id(pair_key[1], self.n_shards)
             self._groups[owner].primary.score_cache.put(
                 pair_key, float(probability)
             )
-        if _OBS.enabled:
-            _OBS.counter("serve.predict_calls").inc()
-            _OBS.counter("serve.scored_pairs").inc(float(len(to_score)))
-            _OBS.histogram("serve.score_batch_pairs").observe(len(to_score))
         return failovers

@@ -26,6 +26,19 @@ def trained_matcher(word_model, small_benchmark):
 
 
 @pytest.fixture(scope="module")
+def second_matcher(word_model, small_benchmark):
+    """Same embedder configuration as ``trained_matcher``, other weights."""
+    labeled = small_benchmark.labeled_pairs(negative_ratio=3, rng=2)[:80]
+    train = [
+        (small_benchmark.record_a(a), small_benchmark.record_b(b), y)
+        for a, b, y in labeled
+    ]
+    return DeepER(
+        word_model, small_benchmark.compare_columns, composition="sif", rng=1
+    ).fit(train, epochs=3)
+
+
+@pytest.fixture(scope="module")
 def reference_records(small_benchmark):
     records = [
         small_benchmark.table_a.row_dict(i)

@@ -14,7 +14,8 @@ import pytest
 
 from repro.er.deeper import _pair_feature_row
 from repro.kernels import compose_pair_features, pair_feature_matrix, score_pairs
-from repro.serve import MatchService
+from repro.serve import MatchService, ShardedMatchService
+from repro.serve.cache import content_key
 
 BATCH_SIZES = [1, 2, 7, 32, 1000]
 
@@ -76,14 +77,10 @@ class TestFeatureKernel:
         self, trained_matcher, pair_pool
     ):
         pairs = pair_pool[:25]
-        assert trained_matcher.kernels
-        kernel_features = trained_matcher._pair_features_numpy(pairs)
-        trained_matcher.kernels = False
-        try:
-            loop_features = trained_matcher._pair_features_numpy(pairs)
-        finally:
-            trained_matcher.kernels = True
-        assert np.array_equal(kernel_features, loop_features)
+        assert np.array_equal(
+            trained_matcher._pair_features_numpy(pairs),
+            _loop_features(pairs, trained_matcher.embedder),
+        )
 
 
 class TestScoreKernel:
@@ -108,28 +105,68 @@ class TestScoreKernel:
         assert out.shape == (0,)
 
 
+# Every serving topology: the unsharded service and the scatter-gather
+# router at several shard counts must all equal the offline oracle.
+TOPOLOGIES = [None, 1, 2, 4]
+
+
+def _serve(matcher, index, n_shards):
+    if n_shards is None:
+        return MatchService(matcher, index, jobs=1)
+    return ShardedMatchService(matcher, index, n_shards=n_shards, jobs=1)
+
+
+def _assert_batch_equals_offline(report, queries, matcher, index, threshold):
+    """Each answer against ``predict_proba`` over the batch's distinct
+    (query, candidate) pairs, in the order the service scores them."""
+    distinct = {content_key(q): q for q in queries}
+    candidates = {a.query_key: a.candidates for a in report.answers}
+    pairs = [(key, c) for key in distinct for c in candidates[key]]
+    offline = matcher.predict_proba(
+        [(distinct[key], index.record(c)) for key, c in pairs]
+    )
+    score = dict(zip(pairs, offline))
+    for answer in report.answers:
+        if not answer.candidates:
+            assert answer.best_id is None and not answer.matched
+            continue
+        best = min(
+            answer.candidates, key=lambda c: (-score[(answer.query_key, c)], c)
+        )
+        probability = score[(answer.query_key, best)]
+        assert answer.best_id == best
+        assert answer.probability == float(probability)  # bit-equal
+        assert answer.matched == (probability >= threshold)
+    return len(pairs)
+
+
 class TestServingDifferential:
-    def test_kernel_service_equals_loop_service(
-        self, trained_matcher, built_index, query_records
+    @pytest.mark.parametrize("n_shards", TOPOLOGIES)
+    def test_batch_equals_offline_predict_before_and_after_swap(
+        self, trained_matcher, second_matcher, built_index, query_records,
+        n_shards,
     ):
         queries = query_records[:40]
-        kernel = MatchService(
-            trained_matcher, built_index, jobs=1, scoring="kernel"
-        ).match_batch(queries)
-        loop = MatchService(
-            trained_matcher, built_index, jobs=1, scoring="loop"
-        ).match_batch(queries)
-        assert kernel.scored_pairs == loop.scored_pairs
-        for a, b in zip(kernel.answers, loop.answers):
-            assert a.best_id == b.best_id
-            assert a.probability == b.probability  # bit-equal, not approx
-            assert a.matched == b.matched
+        service = _serve(trained_matcher, built_index, n_shards)
+        cold = service.match_batch(queries)
+        distinct_pairs = _assert_batch_equals_offline(
+            cold, queries, trained_matcher, built_index, service.threshold
+        )
+        assert distinct_pairs > 0
+        assert cold.scored_pairs == distinct_pairs
+
+        service.swap_matcher(second_matcher)
+        swapped = service.match_batch(queries)
+        assert _assert_batch_equals_offline(
+            swapped, queries, second_matcher, built_index, service.threshold
+        ) == distinct_pairs
+        # The swap cleared the score tier: every pair is scored afresh.
+        assert swapped.scored_pairs == distinct_pairs
 
     def test_kernel_service_equals_offline_predict(
         self, trained_matcher, built_index, query_records
     ):
         service = MatchService(trained_matcher, built_index, jobs=1)
-        assert service.scoring == "kernel"
         for query in query_records[:12]:
             answer = service.match_one(query)
             if not answer.candidates:
