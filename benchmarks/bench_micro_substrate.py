@@ -9,10 +9,10 @@ The ``pair scoring`` rows are the before/after pair for the
 :mod:`repro.kernels` rewrite: the same DeepER featurisation over the
 same 200 pairs, once through the per-pair reference
 (:func:`repro.er.deeper._pair_feature_row`) and once through the
-batched matmul path — plus the int8 quantized-store
-gather feeding :func:`repro.kernels.pair_feature_matrix` directly.
-These measurements calibrate the kernel cost model in
-``bench_e17_serving``.
+batched matmul path — plus the float64 column-stack gather serving runs
+(``BlockingIndex.column_rows``) feeding
+:func:`repro.kernels.pair_feature_matrix` directly.  These measurements
+calibrate the kernel cost model in ``bench_e17_serving``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import pytest
 
 from repro.er import DeepER, LSHBlocker, pair_features
 from repro.er.deeper import _pair_feature_row
-from repro.kernels import pair_feature_matrix, quantize
+from repro.kernels import pair_feature_matrix
 from repro.nn import Adam, LSTM, Tensor, bce_with_logits, mlp
 from repro.text import SkipGram
 
@@ -160,29 +160,29 @@ def test_micro_pair_scoring_kernel(benchmark, scoring_setup):
     assert np.array_equal(features, _loop_rows(pairs, matcher.embedder))
 
 
-def test_micro_quantized_gather_features(benchmark, scoring_setup):
-    """int8 store gather + batched featurisation for 200 pairs.
+def test_micro_gather_features(benchmark, scoring_setup):
+    """Column-stack gather + batched featurisation for 200 pairs.
 
-    The serving shape with a quantized index: reference columns are
-    dequantized rows gathered from the int8 store, query columns come in
-    float; one `pair_feature_matrix` call scores the whole batch.
+    The serving shape: reference columns are a float64 fancy-index gather
+    from the index's precomputed ``(records, columns, dim)`` stack, query
+    columns come in precomputed; one `pair_feature_matrix` call features
+    the whole batch, bit-identical to the per-pair loop.
     """
     matcher, pairs = scoring_setup
     embedder = matcher.embedder
     uniques = {id(r): r for r, _ in pairs} | {id(r): r for _, r in pairs}
     stack = np.array([embedder.embed_columns(r) for r in uniques.values()])
     row_of = {key: row for row, key in enumerate(uniques)}
-    store = quantize(stack, "int8")
     u_rows = np.array([row_of[id(a)] for a, _ in pairs], dtype=np.intp)
     v_rows = np.array([row_of[id(b)] for _, b in pairs], dtype=np.intp)
     u_cols = stack[u_rows]
 
     def run():
-        return pair_feature_matrix(u_cols, store.rows(v_rows))
+        return pair_feature_matrix(u_cols, stack[v_rows])
 
     features = benchmark(run)
     assert features.shape[0] == 200
-    assert store.nbytes < stack.nbytes
+    assert np.array_equal(features, _loop_rows(pairs, embedder))
 
 
 # -- lint engine: cold parse vs warm cache ------------------------------------

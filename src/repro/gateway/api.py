@@ -46,6 +46,7 @@ from repro.gateway.scheduler import CLASSES, make_scheduler
 from repro.obs.metrics import REGISTRY as _OBS
 from repro.obs.trace import span
 from repro.serve.clock import SimClock
+from repro.serve.sim import RunReport
 from repro.utils.content import digest_rows
 from repro.utils.stats import percentile
 
@@ -174,8 +175,8 @@ class GatewayConfig:
     ``admission`` maps route names to ``(rate, burst)`` token-bucket
     policies (absent routes are never shed).  ``high_water``/
     ``low_water``/``cooldown`` configure the backpressure valve; a
-    ``None`` high water disables it.  ``route_costs`` entries override
-    :data:`DEFAULT_ROUTE_COSTS` per route.
+    ``None`` high water disables it.  Dispatch is priced from
+    :data:`DEFAULT_ROUTE_COSTS`.
     """
 
     policy: str = "priority"
@@ -186,7 +187,6 @@ class GatewayConfig:
     high_water: int | None = None
     low_water: int = 0
     cooldown: float = 0.0
-    route_costs: "dict[str, RouteCost] | None" = None
 
     def __post_init__(self) -> None:
         if self.policy not in ("priority", "fifo"):
@@ -205,8 +205,12 @@ class GatewayConfig:
 
 
 @dataclass
-class GatewayReport:
-    """Everything one gateway run produced, in deterministic order."""
+class GatewayReport(RunReport):
+    """Everything one gateway run produced, in deterministic order.
+
+    Latency read-outs take ``route``/``tenant``/``priority`` keyword
+    filters (see :class:`repro.serve.sim.RunReport`).
+    """
 
     policy: str
     results: "list[RequestResult]" = field(default_factory=list)
@@ -214,45 +218,9 @@ class GatewayReport:
     duration: float = 0.0
     valve: dict | None = None
 
-    @property
-    def completed(self) -> "list[RequestResult]":
-        return [r for r in self.results if r.status == "ok"]
-
-    @property
-    def shed(self) -> "list[RequestResult]":
-        return [r for r in self.results if r.status == "shed"]
-
-    @property
-    def shed_rate(self) -> float:
-        return len(self.shed) / len(self.results) if self.results else 0.0
-
-    @property
-    def throughput(self) -> float:
-        """Completed requests per simulated second."""
-        return len(self.completed) / self.duration if self.duration > 0 else 0.0
-
-    def _select(self, route=None, tenant=None, priority=None):
-        return [
-            r for r in self.completed
-            if (route is None or r.route == route)
-            and (tenant is None or r.tenant == tenant)
-            and (priority is None or r.priority == priority)
-        ]
-
-    def latencies(self, *, route=None, tenant=None, priority=None) -> "list[float]":
-        """Matching completed-request latencies, sorted ascending."""
-        return sorted(r.latency for r in self._select(route, tenant, priority))
-
-    def latency_percentiles(
-        self, quantiles: tuple = (50, 95, 99), *,
-        route=None, tenant=None, priority=None,
-    ) -> "dict[int, float]":
-        ordered = self.latencies(route=route, tenant=tenant, priority=priority)
-        return {q: percentile(ordered, q) for q in quantiles}
-
-    def deadline_hit_rate(self, *, route=None, tenant=None, priority=None) -> float:
+    def deadline_hit_rate(self, **filters) -> float:
         """Fraction of matching completed requests that met their deadline."""
-        selected = self._select(route, tenant, priority)
+        selected = self._select(**filters)
         if not selected:
             return 0.0
         return sum(1 for r in selected if r.deadline_met) / len(selected)
@@ -345,7 +313,6 @@ class Gateway:
             self._routers["health"] = HealthRouter(self)
         if "metrics" not in self._routers:
             self._routers["metrics"] = MetricsRouter(self)
-        self._route_costs = {**DEFAULT_ROUTE_COSTS, **(self.config.route_costs or {})}
         self._scheduler = None
         self._valve: BackpressureValve | None = None
         self._results: "dict[int, RequestResult]" = {}
@@ -567,7 +534,7 @@ class Gateway:
             policy=HOT_POLICY,
             validate=_valid_outcome(len(group.requests)),
         )
-        route_cost = self._route_costs.get(group.route, RouteCost())
+        route_cost = DEFAULT_ROUTE_COSTS.get(group.route, RouteCost())
         cost = (
             route_cost.base
             + route_cost.per_request * len(group.requests)

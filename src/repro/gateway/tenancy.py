@@ -71,9 +71,6 @@ class DeficitRoundRobin:
     def pending(self) -> int:
         return sum(len(q) for q in self._queues.values())
 
-    def pending_by_tenant(self) -> "dict[str, int]":
-        return {t: len(self._queues[t]) for t in sorted(self._queues) if self._queues[t]}
-
     def next_group(self, max_batch: int) -> DispatchGroup | None:
         """Dequeue the next tenant's affordable head-run, or ``None``."""
         if max_batch < 1:

@@ -11,10 +11,7 @@ per micro-batch, **provably** equivalent to the loops it replaces:
   features, bit-identical to the per-pair loop in float mode, with
   content-keyed deduplication so repeated tuples are composed once;
 * :mod:`repro.kernels.score` — one classifier forward + sigmoid per
-  batch, matching ``DeepER.predict_proba`` digit for digit;
-* :mod:`repro.kernels.quant` — int8/float16 quantized embedding stores
-  with power-of-two scales (exact dequantize arithmetic, stated error
-  bound, idempotent round-trip, PYTHONHASHSEED-proof content keys).
+  batch, matching ``DeepER.predict_proba`` digit for digit.
 
 The differential test tier under ``tests/kernels/`` enforces the
 equivalence claims; run it standalone with::
@@ -27,15 +24,11 @@ from repro.kernels.features import (
     pair_feature_matrix,
     unique_column_stack,
 )
-from repro.kernels.quant import MODES, QuantizedStore, quantize
 from repro.kernels.score import score_pairs, sigmoid
 
 __all__ = [
-    "MODES",
-    "QuantizedStore",
     "compose_pair_features",
     "pair_feature_matrix",
-    "quantize",
     "score_pairs",
     "sigmoid",
     "unique_column_stack",

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.embeddings.compose import TupleEmbedder
 from repro.er.blocking import LSHBlocker
-from repro.kernels.quant import MODES, QuantizedStore, quantize as quantize_store
 from repro.obs.trace import span
 from repro.par import pmap
 
@@ -52,10 +51,10 @@ class BlockingIndex:
     embedder:
         Fixed (non-trainable) tuple embedder shared with the matcher;
         queries and reference records must embed identically.
-    n_bits / n_bands / whiten / rng:
-        Forwarded to the underlying :class:`LSHBlocker`; ``rng`` seeds the
-        hyperplanes, so two indexes built with the same seed over the same
-        records are identical.
+    n_bits / n_bands / rng:
+        Forwarded to the underlying (whitening) :class:`LSHBlocker`;
+        ``rng`` seeds the hyperplanes, so two indexes built with the same
+        seed over the same records are identical.
     """
 
     def __init__(
@@ -64,15 +63,14 @@ class BlockingIndex:
         *,
         n_bits: int = 16,
         n_bands: int = 4,
-        whiten: bool = True,
         rng: np.random.Generator | int | None = 0,
     ) -> None:
         self.embedder = embedder
-        self.blocker = LSHBlocker(n_bits=n_bits, n_bands=n_bands, whiten=whiten, rng=rng)
+        self.blocker = LSHBlocker(n_bits=n_bits, n_bands=n_bands, rng=rng)
         self._ids: list[str] = []
         self._records: dict[str, dict[str, object]] = {}
         self._buckets: list[dict[bytes, list[int]]] | None = None
-        self._column_store: QuantizedStore | None = None
+        self._column_stack: np.ndarray | None = None
         self._row_of: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
@@ -85,18 +83,13 @@ class BlockingIndex:
         ids: list[str],
         *,
         jobs: int = 1,
-        quantize: str = "none",
     ) -> "BlockingIndex":
         """Embed, transform and bucket the reference table.
 
         Besides the LSH buckets, build precomputes the reference side of
-        the scoring kernels: a ``(records, columns, dim)`` stack of
-        per-attribute embeddings, stored as a :class:`~repro.kernels.quant.
-        QuantizedStore` in ``quantize`` mode (``"none"`` — bit-exact
-        float64, the default — or ``"float16"`` / ``"int8"`` for a smaller
-        shard with the bounded error documented in :mod:`repro.kernels.
-        quant`).  Serving gathers candidate rows from this store instead
-        of re-embedding the candidate per pair.
+        the scoring kernels: a float64 ``(records, columns, dim)`` stack of
+        per-attribute embeddings.  Serving gathers candidate rows from this
+        stack instead of re-embedding the candidate per pair.
 
         ``jobs`` fans the reference embedding out over :func:`repro.par.pmap`
         (bit-identical to serial for every value).  Rebuilding replaces the
@@ -108,8 +101,6 @@ class BlockingIndex:
             )
         if not records:
             raise ValueError("cannot build an index over zero records")
-        if quantize not in MODES:
-            raise ValueError(f"quantize must be one of {MODES}, got {quantize!r}")
         embeddings = np.array(
             pmap(
                 partial(_embed_record, embedder=self.embedder),
@@ -125,7 +116,7 @@ class BlockingIndex:
             for i, signature in enumerate(signatures):
                 band_buckets[signature[lo:hi].tobytes()].append(i)
             buckets.append(dict(band_buckets))
-        with span("serve.index.columns", records=len(records), mode=quantize) as sp:
+        with span("serve.index.columns", records=len(records)) as sp:
             column_stack = np.array(
                 pmap(
                     partial(_embed_record_columns, embedder=self.embedder),
@@ -134,12 +125,11 @@ class BlockingIndex:
                     label="serve.index.columns",
                 )
             )
-            store = quantize_store(column_stack, mode=quantize)
-            sp.meta["nbytes"] = store.nbytes
+            sp.meta["nbytes"] = column_stack.nbytes
         self._ids = [str(i) for i in ids]
         self._records = {str(i): r for i, r in zip(ids, records)}
         self._buckets = buckets
-        self._column_store = store
+        self._column_stack = column_stack
         self._row_of = {str(i): row for row, i in enumerate(ids)}
         return self
 
@@ -165,11 +155,11 @@ class BlockingIndex:
         ``view.candidates(e) == [c for c in self.candidates(e) if c in
         member_ids]``.  Had each shard fitted its own transform, the hash
         functions would diverge and scatter-gather answers would depend on
-        the shard count.  Buckets, records and the quantized column store
-        are sliced (rows gathered, empty buckets dropped), so a view costs
-        memory proportional to its members only.
+        the shard count.  Buckets, records and the column stack are sliced
+        (rows gathered, empty buckets dropped), so a view costs memory
+        proportional to its members only.
         """
-        if self._buckets is None or self._column_store is None:
+        if self._buckets is None or self._column_stack is None:
             raise RuntimeError("index not built; call build() first")
         members = [str(i) for i in member_ids]
         unknown = [i for i in members if i not in self._row_of]
@@ -189,11 +179,8 @@ class BlockingIndex:
             }
             for band_buckets in self._buckets
         ]
-        store = self._column_store
         rows = np.array([self._row_of[i] for i in members], dtype=np.intp)
-        view._column_store = QuantizedStore(
-            mode=store.mode, codes=store.codes[rows], scales=store.scales[rows]
-        )
+        view._column_stack = self._column_stack[rows]
         view._row_of = {i: local for local, i in enumerate(members)}
         return view
 
@@ -239,28 +226,14 @@ class BlockingIndex:
     # kernel gathers
     # ------------------------------------------------------------------ #
 
-    @property
-    def column_store(self) -> QuantizedStore:
-        """The precomputed reference ``(records, columns, dim)`` store."""
-        if self._column_store is None:
-            raise RuntimeError("index not built; call build() first")
-        return self._column_store
-
-    @property
-    def quantization(self) -> str:
-        """Quantization mode the reference column store was built with."""
-        return self.column_store.mode
-
     def column_rows(self, reference_ids: list[str]) -> np.ndarray:
-        """Dequantized ``(len(ids), columns, dim)`` gather from the store.
+        """``(len(ids), columns, dim)`` float64 gather from the column stack.
 
-        In ``"none"`` mode the rows are bit-identical to
-        ``embedder.embed_columns(record)`` — the serving kernels stay
-        differentially equal to the offline loop; quantized modes trade
-        that exactness for the documented elementwise error bound.
+        The rows are bit-identical to ``embedder.embed_columns(record)``,
+        so the serving kernels stay differentially equal to the offline
+        ``predict_proba``.
         """
-        store = self.column_store
-        if not reference_ids:
-            return np.zeros((0,) + store.shape[1:])
+        if self._column_stack is None:
+            raise RuntimeError("index not built; call build() first")
         rows = np.array([self._row_of[str(i)] for i in reference_ids], dtype=np.intp)
-        return store.rows(rows)
+        return self._column_stack[rows]

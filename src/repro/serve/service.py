@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.data.types import is_missing
 from repro.er.deeper import DeepER
 from repro.faults.plan import inject
 from repro.faults.retry import HOT_POLICY, retry_call
@@ -59,6 +60,7 @@ from repro.nn.layers import Module
 from repro.obs.metrics import REGISTRY as _OBS
 from repro.serve.cache import LRUCache, MISSING, CacheStatsView, content_key
 from repro.serve.index import BlockingIndex
+from repro.text.tokenize import word_tokenize
 from repro.utils.validation import check_fitted
 
 __all__ = ["BatchReport", "MatchAnswer", "MatchService"]
@@ -97,6 +99,30 @@ def check_servable(matcher: DeepER, index: BlockingIndex) -> None:
         )
     if ours.model is not theirs.model or ours.vector_fn != theirs.vector_fn:
         raise ValueError("embedder differs from the index's (word model or vector_fn)")
+
+
+def check_records(records: "list[dict[str, object]]", columns: "list[str]") -> None:
+    """Refuse a batch holding a record serving cannot answer.
+
+    A non-dict raises :class:`TypeError`; a record with no compare column
+    carrying a word token (it would embed to the zero vector and be
+    answered from the zero-vector LSH bucket) raises :class:`ValueError`.
+    Both name the batch position.  Both services call this before any
+    cache, fault site or counter, so a refused batch changes nothing.
+    """
+    for position, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise TypeError(
+                f"record {position} must be a dict, got {type(record).__name__}"
+            )
+        if not any(
+            not is_missing(value := record.get(column)) and word_tokenize(str(value))
+            for column in columns
+        ):
+            raise ValueError(
+                f"record {position} has no non-empty compare column "
+                f"(columns: {list(columns)!r})"
+            )
 
 
 def swap_validated(service, matcher: DeepER, index: BlockingIndex) -> str:
@@ -294,8 +320,10 @@ class MatchService:
         :func:`repro.par.pmap` embedding pass over the misses → candidate
         lookup per query → score-cache consult → one validated, retried
         scoring call over every unique uncached pair → answers
-        assembled from the (now fully populated) score cache.
+        assembled from the (now fully populated) score cache.  Malformed
+        records are refused up front (:func:`check_records`).
         """
+        check_records(records, self.matcher.embedder.columns)
         if not records:
             return BatchReport(answers=[], scored_pairs=0, embedding_misses=0,
                                predict_calls=0)

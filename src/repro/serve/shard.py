@@ -49,7 +49,9 @@ from repro.faults.retry import CorruptedResult, HOT_POLICY, RetryExhausted, retr
 from repro.obs.metrics import REGISTRY as _OBS
 from repro.serve.cache import CacheStatsView, content_key
 from repro.serve.index import BlockingIndex
-from repro.serve.service import BatchReport, MatchService, score_columns, swap_validated
+from repro.serve.service import (
+    BatchReport, MatchService, check_records, score_columns, swap_validated,
+)
 
 __all__ = [
     "ShardBatchReport",
@@ -293,8 +295,11 @@ class ShardedMatchService:
         per-shard candidate lookup + score-cache consult → per-home-shard
         column resolution → one scoring call over every shard's uncached
         pairs → sorted-union merge and assembly.  Every
-        per-shard step runs under :meth:`_shard_call` failover.
+        per-shard step runs under :meth:`_shard_call` failover.  Malformed
+        records are refused up front (:func:`check_records`), so a bad
+        input is never reported as a dead shard.
         """
+        check_records(records, self.matcher.embedder.columns)
         if not records:
             return ShardBatchReport(answers=[], scored_pairs=0,
                                     embedding_misses=0, predict_calls=0)

@@ -5,7 +5,7 @@ SimClock`, shaped like a real inference server's request path:
 
 * **admission control** — at most ``max_queue`` queries may wait; an
   arrival that finds the queue full is *shed* deterministically (an
-  explicit ``rejected`` result, never an exception), so overload degrades
+  explicit ``shed`` result, never an exception), so overload degrades
   loudly and reproducibly instead of growing an unbounded queue;
 * **micro-batching** — a waiting batch fires when it reaches
   ``max_batch_size`` or when its oldest query has waited ``max_wait``
@@ -81,7 +81,7 @@ class QueryResult:
     """Terminal state of one query: completed with an answer, or shed."""
 
     query_id: int
-    status: str  # "ok" | "rejected"
+    status: str  # "ok" | "shed"
     arrival: float
     start: float | None = None
     finish: float | None = None
@@ -96,22 +96,22 @@ class QueryResult:
         return self.finish - self.arrival
 
 
-@dataclass
-class SimReport:
-    """Everything one simulated run produced, in deterministic order."""
+class RunReport:
+    """Read-outs shared by :class:`SimReport` and the gateway's report.
 
-    config: ServerConfig
-    results: list[QueryResult] = field(default_factory=list)
-    batches: list[dict] = field(default_factory=list)
-    duration: float = 0.0
+    Subclasses hold ``results`` (each with a ``status`` of ``"ok"`` or
+    ``"shed"`` and a ``latency``) and the simulated ``duration``.  The
+    ``filters`` of the latency read-outs keep the completed results whose
+    attributes equal every given value (``priority="interactive"``).
+    """
 
     @property
-    def completed(self) -> list[QueryResult]:
+    def completed(self) -> list:
         return [r for r in self.results if r.status == "ok"]
 
     @property
-    def shed(self) -> list[QueryResult]:
-        return [r for r in self.results if r.status == "rejected"]
+    def shed(self) -> list:
+        return [r for r in self.results if r.status == "shed"]
 
     @property
     def shed_rate(self) -> float:
@@ -119,17 +119,35 @@ class SimReport:
 
     @property
     def throughput(self) -> float:
-        """Completed queries per simulated second."""
+        """Completed results per simulated second."""
         return len(self.completed) / self.duration if self.duration > 0 else 0.0
 
-    def latencies(self) -> list[float]:
-        """Completed-query latencies sorted ascending."""
-        return sorted(r.latency for r in self.completed)
+    def _select(self, **filters) -> list:
+        return [
+            r for r in self.completed
+            if all(getattr(r, name) == value for name, value in filters.items())
+        ]
 
-    def latency_percentiles(self, quantiles: tuple[int, ...] = (50, 95, 99)) -> dict[int, float]:
+    def latencies(self, **filters) -> list[float]:
+        """Matching completed latencies sorted ascending."""
+        return sorted(r.latency for r in self._select(**filters))
+
+    def latency_percentiles(
+        self, quantiles: tuple[int, ...] = (50, 95, 99), **filters
+    ) -> dict[int, float]:
         """Nearest-rank percentiles of simulated latency (0.0 when empty)."""
-        ordered = self.latencies()
+        ordered = self.latencies(**filters)
         return {q: percentile(ordered, q) for q in quantiles}
+
+
+@dataclass
+class SimReport(RunReport):
+    """Everything one simulated run produced, in deterministic order."""
+
+    config: ServerConfig
+    results: list[QueryResult] = field(default_factory=list)
+    batches: list[dict] = field(default_factory=list)
+    duration: float = 0.0
 
     @property
     def mean_batch_size(self) -> float:
@@ -179,7 +197,7 @@ def simulate(
         clock.advance_to(query.arrival)
         if len(pending) >= config.max_queue:
             results[query.query_id] = QueryResult(
-                query_id=query.query_id, status="rejected", arrival=query.arrival
+                query_id=query.query_id, status="shed", arrival=query.arrival
             )
             if _OBS.enabled:
                 _OBS.counter("serve.shed").inc()

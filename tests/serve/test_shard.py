@@ -306,8 +306,13 @@ class TestConstruction:
         view = built_index.shard_view(built_index.ids[:3])
         assert view.blocker is built_index.blocker
         assert len(view) == 3
-        assert view.column_store.mode == built_index.column_store.mode
-        np.testing.assert_array_equal(
-            view.column_rows(built_index.ids[:3]),
-            built_index.column_rows(built_index.ids[:3]),
-        )
+        # The gather contract: full index and view both return exactly the
+        # embedder's per-attribute stacks, bit for bit.
+        ids = built_index.ids[:3][::-1]
+        expected = np.array([
+            built_index.embedder.embed_columns(built_index.record(i)) for i in ids
+        ])
+        for index in (built_index, view):
+            rows = index.column_rows(ids)
+            assert rows.dtype == expected.dtype and rows.shape == expected.shape
+            assert rows.tobytes() == expected.tobytes()

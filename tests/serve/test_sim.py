@@ -220,8 +220,8 @@ class TestExternalClock:
         assert report.duration == pytest.approx(clock.now)
 
     def test_query_result_defaults(self):
-        rejected = QueryResult(query_id=1, status="rejected", arrival=0.5)
-        assert rejected.latency is None
+        shed = QueryResult(query_id=1, status="shed", arrival=0.5)
+        assert shed.latency is None
 
 
 class TestPercentilePromotion:
