@@ -2,8 +2,8 @@
 
 PR-10 puts one deterministic front door (:mod:`repro.gateway`) over the
 already-built components: match queries, FD-repair slices and schema-
-discovery probes arrive as ``(tenant, route, priority, deadline)``
-requests on the simulated clock, pass per-route token-bucket admission,
+discovery probes arrive as ``(tenant, route, priority)`` requests on
+the simulated clock, pass per-route token-bucket admission,
 a two-class scheduler with deficit-round-robin tenant fairness, and a
 backpressure valve that holds batch work back while the interactive
 queue is above high water.

@@ -42,7 +42,7 @@ def emit_bench(
     started_unix: float | None = None,
     wall_time_seconds: float | None = None,
     span: Span | None = None,
-    metrics_snapshot: dict | None = None,
+    metrics: dict | None = None,
     out_dir: str | Path = ".",
 ) -> Path:
     """Write ``BENCH_<EXPERIMENT_ID>.json`` and return its path.
@@ -59,7 +59,7 @@ def emit_bench(
         started_unix=started_unix,
         wall_time_seconds=wall_time_seconds,
         span=span,
-        metrics_snapshot=metrics_snapshot,
+        metrics=metrics,
     )
     return write_record(record, out_dir)
 

@@ -123,7 +123,7 @@ def run_one(
         started_unix=started_unix,
         wall_time_seconds=elapsed,
         span=exp_span,
-        metrics_snapshot=snapshot,
+        metrics=snapshot,
         out_dir=out_dir,
     )
     return {

@@ -18,8 +18,9 @@ scheduling choice and latency percentile is byte-reproducible:
 * :mod:`repro.gateway.backpressure` — the high/low-water valve (with a
   cooldown dwell) that pauses batch work and `repro.loop` retrains while
   the online queue is hot;
-* :mod:`repro.gateway.routers` — match / clean / discover / health /
-  metrics route handlers over existing read-only components;
+* :mod:`repro.gateway.routers` — match / clean / discover route handlers
+  over existing read-only components, each with an admission-time
+  payload check (a malformed request is shed as ``invalid``);
 * :mod:`repro.gateway.workload` — seeded multi-tenant diurnal traffic.
 
 Gateway routing never changes *what* is answered — only *when*: answers
@@ -41,9 +42,7 @@ from repro.gateway.backpressure import BackpressureValve
 from repro.gateway.routers import (
     CleanRouter,
     DiscoverRouter,
-    HealthRouter,
     MatchRouter,
-    MetricsRouter,
     Router,
     RouterOutcome,
 )
@@ -66,9 +65,7 @@ __all__ = [
     "GatewayConfig",
     "GatewayReport",
     "GatewayRequest",
-    "HealthRouter",
     "MatchRouter",
-    "MetricsRouter",
     "RequestResult",
     "RequestStream",
     "RouteCost",

@@ -2,12 +2,13 @@
 
 :class:`Gateway` fronts already-built curation components (match
 service, FD repairer, column matcher) behind named routes on the
-simulated clock.  A request carries ``(tenant, route, priority,
-deadline)``; its life is
+simulated clock.  A request carries ``(tenant, route, priority)``; its
+life is
 
-1. **admission** — the per-route token bucket
-   (:mod:`repro.gateway.admission`) admits or sheds it at arrival, under
-   fault site ``gateway.admit``;
+1. **admission** — the route's router checks the payload's shape (a
+   malformed request is shed as ``invalid``), then the per-route token
+   bucket (:mod:`repro.gateway.admission`) admits or sheds it at
+   arrival, under fault site ``gateway.admit``;
 2. **scheduling** — the two-class scheduler
    (:mod:`repro.gateway.scheduler`) queues it; interactive strictly
    precedes batch, deficit round robin (:mod:`repro.gateway.tenancy`)
@@ -33,22 +34,18 @@ per-scenario ``answers_sha1`` in BENCH_E19 hold the line.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.faults.retry import HOT_POLICY, retry_call
 from repro.gateway.admission import AdmissionController
 from repro.gateway.backpressure import BackpressureValve
 from repro.gateway.routers.base import Router, RouterOutcome
-from repro.gateway.routers.health import HealthRouter
-from repro.gateway.routers.metrics import MetricsRouter
 from repro.gateway.scheduler import CLASSES, make_scheduler
 from repro.obs.metrics import REGISTRY as _OBS
 from repro.obs.trace import span
 from repro.serve.clock import SimClock
 from repro.serve.sim import RunReport
 from repro.utils.content import digest_rows
-from repro.utils.stats import percentile
 
 __all__ = [
     "DEFAULT_ROUTE_COSTS",
@@ -63,24 +60,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GatewayRequest:
-    """One request: who (tenant), what (route + payload), how urgent.
-
-    ``deadline`` is an *absolute* simulated timestamp and is SLO
-    metadata only — the gateway reports ``deadline_met`` but never drops
-    expired requests, because expiry-dropping would make *what* is
-    answered depend on the scheduling policy and break the one-digest-
-    per-scenario contract.  ``cost_units`` is the DRR accounting weight
-    (how much of a tenant's deficit the request consumes).
-    """
+    """One request: who (tenant), what (route + payload), how urgent."""
 
     request_id: int
     tenant: str
     route: str
     priority: str = "interactive"
     arrival: float = 0.0
-    deadline: float = math.inf
     payload: dict = field(default_factory=dict, compare=False)
-    cost_units: float = 1.0
 
     def __post_init__(self) -> None:
         if self.request_id < 0:
@@ -95,18 +82,15 @@ class GatewayRequest:
             )
         if self.arrival < 0:
             raise ValueError(f"arrival must be >= 0, got {self.arrival}")
-        if self.deadline < self.arrival:
-            raise ValueError(
-                f"deadline must be >= arrival, got deadline={self.deadline} "
-                f"< arrival={self.arrival}"
-            )
-        if self.cost_units <= 0:
-            raise ValueError(f"cost_units must be > 0, got {self.cost_units}")
 
 
 @dataclass
 class RequestResult:
-    """Terminal state of one request: completed with an answer, or shed."""
+    """Terminal state of one request: completed with an answer, or shed.
+
+    A shed request's ``reason`` is ``"admission"`` (token bucket empty) or
+    ``"invalid: <message>"`` (its router refused the payload).
+    """
 
     request_id: int
     tenant: str
@@ -114,11 +98,11 @@ class RequestResult:
     priority: str
     status: str  # "ok" | "shed"
     arrival: float
-    deadline: float = math.inf
     start: float | None = None
     finish: float | None = None
     group_id: int | None = None
     answer: object | None = None
+    reason: str | None = None
 
     @property
     def latency(self) -> float | None:
@@ -126,13 +110,6 @@ class RequestResult:
         if self.finish is None:
             return None
         return self.finish - self.arrival
-
-    @property
-    def deadline_met(self) -> bool | None:
-        """Did the answer arrive by the deadline?  None for shed requests."""
-        if self.finish is None:
-            return None
-        return self.finish <= self.deadline
 
 
 @dataclass(frozen=True)
@@ -158,13 +135,11 @@ class RouteCost:
 # Kernel-calibrated defaults (see bench_micro_substrate / E17's "kernel
 # cost" rows): match prices scored pairs + embedding misses exactly like
 # ServerConfig(cost_per_miss=5e-5, cost_per_embed=2e-4); clean prices
-# cells examined; discover prices column pairs; health/metrics are tiny.
+# cells examined; discover prices column pairs.
 DEFAULT_ROUTE_COSTS: "dict[str, RouteCost]" = {
     "match": RouteCost(base=0.002, per_request=0.0004, per_work=0.00005, per_embed=0.0002),
     "clean": RouteCost(base=0.002, per_request=0.0005, per_work=0.00002),
     "discover": RouteCost(base=0.002, per_request=0.0005, per_work=0.0002),
-    "health": RouteCost(base=0.0002, per_request=0.0001),
-    "metrics": RouteCost(base=0.0002, per_request=0.0001),
 }
 
 
@@ -217,13 +192,6 @@ class GatewayReport(RunReport):
     groups: "list[dict]" = field(default_factory=list)
     duration: float = 0.0
     valve: dict | None = None
-
-    def deadline_hit_rate(self, **filters) -> float:
-        """Fraction of matching completed requests that met their deadline."""
-        selected = self._select(**filters)
-        if not selected:
-            return 0.0
-        return sum(1 for r in selected if r.deadline_met) / len(selected)
 
     def completed_share(self, first: int | None = None) -> "dict[str, float]":
         """Per-tenant share of completions, in completion order.
@@ -285,97 +253,29 @@ def _valid_outcome(size: int):
 class Gateway:
     """Deterministic multi-tenant front door over curation routers.
 
-    ``routers`` is an iterable of :class:`Router` instances (keyed by
-    their ``name``); a :class:`HealthRouter` and :class:`MetricsRouter`
-    are installed automatically unless the caller provides their own.
-    ``registry`` (optional) is a :class:`repro.loop.ModelRegistry` whose
-    snapshot the health route exposes.
+    ``routers`` is an iterable of :class:`Router` instances, keyed by
+    their ``name``.
     """
 
-    def __init__(
-        self,
-        routers,
-        *,
-        config: GatewayConfig | None = None,
-        registry=None,
-    ) -> None:
+    def __init__(self, routers, *, config: GatewayConfig | None = None) -> None:
         self.config = config if config is not None else GatewayConfig()
-        self.registry = registry
         self._routers: "dict[str, Router]" = {}
         for router in routers:
             name = getattr(router, "name", None)
-            if not name or not callable(getattr(router, "handle_group", None)):
-                raise ValueError(f"not a router (need .name and .handle_group): {router!r}")
+            if not name or not all(
+                callable(getattr(router, method, None))
+                for method in ("check", "handle_group")
+            ):
+                raise ValueError(
+                    f"not a router (need .name, .check and .handle_group): {router!r}"
+                )
             if name in self._routers:
                 raise ValueError(f"duplicate router for route {name!r}")
             self._routers[name] = router
-        if "health" not in self._routers:
-            self._routers["health"] = HealthRouter(self)
-        if "metrics" not in self._routers:
-            self._routers["metrics"] = MetricsRouter(self)
-        self._scheduler = None
-        self._valve: BackpressureValve | None = None
-        self._results: "dict[int, RequestResult]" = {}
-        self._groups: "list[dict]" = []
-        self._lat_by_route: "dict[str, list[float]]" = {}
-        self._lat_by_tenant: "dict[str, list[float]]" = {}
-        self._shed_by_route: "dict[str, int]" = {}
 
     @property
     def routes(self) -> "list[str]":
         return sorted(self._routers)
-
-    # ------------------------------------------------------------------ #
-    # snapshots (health / metrics routes)
-    # ------------------------------------------------------------------ #
-
-    def health_snapshot(self) -> dict:
-        """Liveness + registry/valve/fingerprint state, all deterministic."""
-        snapshot: dict = {
-            "status": "ok",
-            "policy": self.config.policy,
-            "routes": self.routes,
-            "depth": dict(self._scheduler.depths()) if self._scheduler is not None else {},
-        }
-        match_router = self._routers.get("match")
-        service = getattr(match_router, "service", None)
-        if service is not None:
-            snapshot["fingerprint"] = service.parameter_fingerprint()
-        if self._valve is not None:
-            snapshot["valve"] = self._valve.snapshot()
-        if self.registry is not None:
-            active = self.registry.active
-            snapshot["registry"] = {
-                "versions": [v.version_id for v in self.registry.versions],
-                "active": active.version_id if active is not None else None,
-            }
-        return snapshot
-
-    def metrics_snapshot(self) -> dict:
-        """Per-route / per-tenant completions and latency percentiles so far."""
-        def stats(lat_map: "dict[str, list[float]]") -> "dict[str, dict]":
-            out = {}
-            for key in sorted(lat_map):
-                ordered = sorted(lat_map[key])
-                out[key] = {
-                    "completed": len(ordered),
-                    "p50_ms": round(percentile(ordered, 50) * 1e3, 6),
-                    "p95_ms": round(percentile(ordered, 95) * 1e3, 6),
-                    "p99_ms": round(percentile(ordered, 99) * 1e3, 6),
-                }
-            return out
-
-        routes = stats(self._lat_by_route)
-        for route in sorted(self._shed_by_route):
-            routes.setdefault(route, {"completed": 0})
-        for route in routes:
-            routes[route]["shed"] = self._shed_by_route.get(route, 0)
-        return {
-            "completed": sum(len(v) for v in self._lat_by_route.values()),
-            "shed": sum(self._shed_by_route.values()),
-            "routes": routes,
-            "tenants": stats(self._lat_by_tenant),
-        }
 
     # ------------------------------------------------------------------ #
     # the event loop
@@ -408,37 +308,39 @@ class Gateway:
             weights=self.config.tenant_weights,
         )
         valve = self.config.make_valve()
-        self._scheduler = scheduler
-        self._valve = valve
-        self._results = {}
-        self._groups = []
-        self._lat_by_route = {}
-        self._lat_by_tenant = {}
-        self._shed_by_route = {}
+        results: "dict[int, RequestResult]" = {}
+        groups: "list[dict]" = []
         server_free = 0.0
         index = 0
         total = len(arrivals)
+
+        def shed(request: GatewayRequest, reason: str) -> None:
+            results[request.request_id] = RequestResult(
+                request_id=request.request_id,
+                tenant=request.tenant,
+                route=request.route,
+                priority=request.priority,
+                status="shed",
+                arrival=request.arrival,
+                reason=reason,
+            )
 
         def admit(request: GatewayRequest) -> None:
             clock.advance_to(request.arrival)
             if _OBS.enabled:
                 _OBS.counter("gateway.requests").inc()
-            decision = admission.decide(request.route, request.arrival)
-            if decision.admitted:
+            # A malformed payload is refused before it can touch the
+            # bucket, the scheduler or the valve, so it changes nothing
+            # about how the rest of the traffic is admitted or answered.
+            try:
+                self._routers[request.route].check(request.payload)
+            except (TypeError, ValueError) as exc:
+                shed(request, f"invalid: {exc}")
+                return
+            if admission.decide(request.route, request.arrival).admitted:
                 scheduler.enqueue(request)
             else:
-                self._results[request.request_id] = RequestResult(
-                    request_id=request.request_id,
-                    tenant=request.tenant,
-                    route=request.route,
-                    priority=request.priority,
-                    status="shed",
-                    arrival=request.arrival,
-                    deadline=request.deadline,
-                )
-                self._shed_by_route[request.route] = (
-                    self._shed_by_route.get(request.route, 0) + 1
-                )
+                shed(request, "admission")
             if valve is not None:
                 valve.observe(clock.now, scheduler.online_depth())
 
@@ -461,7 +363,7 @@ class Gateway:
                     if scheduler.has_dispatchable(batch_ok):
                         clock.advance_to(fire)
                         server_free = self._dispatch(
-                            fire, scheduler, valve, batch_ok, clock
+                            fire, scheduler, valve, batch_ok, results, groups
                         )
                         continue
                     # Only valve-blocked batch work remains runnable now.
@@ -486,10 +388,10 @@ class Gateway:
             report = GatewayReport(
                 policy=self.config.policy,
                 results=[
-                    self._results[r.request_id]
+                    results[r.request_id]
                     for r in sorted(requests, key=lambda r: r.request_id)
                 ],
-                groups=self._groups,
+                groups=groups,
                 duration=clock.now,
                 valve=(
                     {**valve.snapshot(), "events": list(valve.events)}
@@ -515,7 +417,7 @@ class Gateway:
         """Pure route-table lookup (the ``gateway.route`` fault site)."""
         return self._routers[route]
 
-    def _dispatch(self, fire, scheduler, valve, batch_ok, clock) -> float:
+    def _dispatch(self, fire, scheduler, valve, batch_ok, results, groups) -> float:
         group = scheduler.next_group(self.config.max_batch_size, batch_ok)
         router = retry_call(
             self._resolve_router,
@@ -542,8 +444,8 @@ class Gateway:
             + route_cost.per_embed * outcome.embed_misses
         )
         finish = fire + cost
-        group_id = len(self._groups)
-        self._groups.append({
+        group_id = len(groups)
+        groups.append({
             "group_id": group_id,
             "route": group.route,
             "tenant": group.tenant,
@@ -556,22 +458,18 @@ class Gateway:
             "cost": cost,
         })
         for request, answer in zip(group.requests, outcome.answers):
-            self._results[request.request_id] = RequestResult(
+            results[request.request_id] = RequestResult(
                 request_id=request.request_id,
                 tenant=request.tenant,
                 route=request.route,
                 priority=request.priority,
                 status="ok",
                 arrival=request.arrival,
-                deadline=request.deadline,
                 start=fire,
                 finish=finish,
                 group_id=group_id,
                 answer=answer,
             )
-            latency = finish - request.arrival
-            self._lat_by_route.setdefault(request.route, []).append(latency)
-            self._lat_by_tenant.setdefault(request.tenant, []).append(latency)
         if _OBS.enabled:
             _OBS.counter("gateway.groups").inc()
             _OBS.counter("gateway.dispatched").inc(float(len(group.requests)))

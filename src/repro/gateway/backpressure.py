@@ -112,7 +112,7 @@ class BackpressureValve:
         return not self.paused
 
     def snapshot(self) -> dict:
-        """Deterministic state summary for the health router."""
+        """Deterministic state summary (the report's ``valve`` entry)."""
         return {
             "state": "paused" if self.paused else "open",
             "high_water": self.high_water,

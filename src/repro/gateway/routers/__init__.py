@@ -10,22 +10,19 @@ Routers are *read-only* adapters over already-built curation components
 never mutate their component beyond the component's own caches, and are
 pure functions of (component state, request payloads) — which is what
 lets the gateway retry a dead router at fault site ``gateway.dispatch``
-and recover bit-identically.
+and recover bit-identically.  Each router's ``check`` refuses, at
+admission, a payload its route cannot answer.
 """
 
 from repro.gateway.routers.base import Router, RouterOutcome
 from repro.gateway.routers.clean import CleanRouter
 from repro.gateway.routers.discover import DiscoverRouter
-from repro.gateway.routers.health import HealthRouter
 from repro.gateway.routers.match import MatchRouter
-from repro.gateway.routers.metrics import MetricsRouter
 
 __all__ = [
     "CleanRouter",
     "DiscoverRouter",
-    "HealthRouter",
     "MatchRouter",
-    "MetricsRouter",
     "Router",
     "RouterOutcome",
 ]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from repro.data.table import Table
 
 __all__ = ["Router", "RouterOutcome"]
 
@@ -22,11 +24,15 @@ class RouterOutcome:
     answers: tuple
     work: float = 0.0
     embed_misses: int = 0
-    meta: dict = field(default_factory=dict, compare=False)
 
 
 class Router:
-    """Duck-typed base: a ``name`` and a group handler.
+    """Duck-typed base: a ``name``, a payload check and a group handler.
+
+    ``check`` runs once per request at admission and raises
+    :class:`TypeError` or :class:`ValueError` for a payload the route
+    cannot answer; the gateway sheds such a request as ``invalid``.  The
+    base accepts every payload.
 
     ``handle_group`` must be a pure function of (component state, request
     payloads) — it runs under the retried fault site ``gateway.dispatch``,
@@ -36,5 +42,17 @@ class Router:
 
     name = "?"
 
+    def check(self, payload: dict) -> None:
+        return None
+
     def handle_group(self, requests: tuple) -> RouterOutcome:
         raise NotImplementedError
+
+
+def check_table(payload: dict) -> None:
+    """Refuse a payload without a :class:`Table` under ``"table"``."""
+    table = payload.get("table") if isinstance(payload, dict) else None
+    if not isinstance(table, Table):
+        raise TypeError(
+            f"payload needs a Table under 'table', got {type(table).__name__}"
+        )

@@ -14,7 +14,7 @@ holds back while the interactive queue is above high water.
 
 from __future__ import annotations
 
-from repro.gateway.routers.base import Router, RouterOutcome
+from repro.gateway.routers.base import Router, RouterOutcome, check_table
 
 __all__ = ["CleanRouter"]
 
@@ -26,6 +26,9 @@ class CleanRouter(Router):
 
     def __init__(self, repairer) -> None:
         self.repairer = repairer
+
+    def check(self, payload: dict) -> None:
+        check_table(payload)
 
     def handle_group(self, requests: tuple) -> RouterOutcome:
         answers = []

@@ -11,7 +11,7 @@ contract makes the links jobs-independent).
 
 from __future__ import annotations
 
-from repro.gateway.routers.base import Router, RouterOutcome
+from repro.gateway.routers.base import Router, RouterOutcome, check_table
 
 __all__ = ["DiscoverRouter"]
 
@@ -30,6 +30,9 @@ class DiscoverRouter(Router):
         self.reference = reference
         self.threshold = float(threshold)
         self.jobs = int(jobs)
+
+    def check(self, payload: dict) -> None:
+        check_table(payload)
 
     def handle_group(self, requests: tuple) -> RouterOutcome:
         answers = []

@@ -14,8 +14,7 @@ point of the comparison.
 
 Both schedulers expose the same duck-typed surface (``enqueue`` /
 ``has_pending`` / ``has_dispatchable`` / ``next_group`` /
-``online_depth`` / ``depths``), so the gateway event loop is policy-
-agnostic.
+``online_depth``), so the gateway event loop is policy-agnostic.
 """
 
 from __future__ import annotations
@@ -54,9 +53,6 @@ class TwoClassScheduler:
         """Pending *interactive* requests — the valve's watched quantity."""
         return self._classes["interactive"].pending
 
-    def depths(self) -> "dict[str, int]":
-        return {name: self._classes[name].pending for name in CLASSES}
-
     def next_group(self, max_batch: int, batch_ok: bool) -> DispatchGroup | None:
         group = self._classes["interactive"].next_group(max_batch) \
             if self._classes["interactive"].pending else None
@@ -89,9 +85,6 @@ class FifoScheduler:
 
     def online_depth(self) -> int:
         return self._depth["interactive"]
-
-    def depths(self) -> "dict[str, int]":
-        return dict(self._depth)
 
     def next_group(self, max_batch: int, batch_ok: bool) -> DispatchGroup | None:
         if max_batch < 1:

@@ -2,11 +2,12 @@
 
 Classic DRR (Shreedhar & Varghese) over per-tenant FIFO queues: each
 tenant's turn adds ``quantum × weight`` to its deficit counter, and the
-tenant may dispatch requests while the deficit covers their
-``cost_units``.  An emptied queue forfeits its remaining deficit, so a
-tenant cannot bank idle time; a backlogged tenant's deficit grows every
-rotation until even its most expensive head request becomes affordable —
-DRR is starvation-free by construction.
+tenant may dispatch requests while the deficit covers them, at one unit
+per request.  An emptied queue forfeits its remaining deficit, so a
+tenant cannot bank idle time; a backlogged tenant whose turn adds less
+than one unit (``quantum × weight < 1``) accrues over several rotations
+until its head request becomes affordable — DRR is starvation-free by
+construction.
 
 Determinism contract: the rotation order is the *sorted tenant ids* of
 the currently backlogged tenants, and the round-robin cursor is tracked
@@ -98,11 +99,10 @@ class DeficitRoundRobin:
                     queue
                     and len(taken) < max_batch
                     and queue[0].route == route
-                    and queue[0].cost_units <= self._deficits[tenant]
+                    and 1.0 <= self._deficits[tenant]
                 ):
-                    request = queue.popleft()
-                    self._deficits[tenant] -= request.cost_units
-                    taken.append(request)
+                    taken.append(queue.popleft())
+                    self._deficits[tenant] -= 1.0
                 if not queue:
                     # Forfeit: an idle tenant must not bank credit.
                     self._deficits[tenant] = 0.0
@@ -116,4 +116,4 @@ class DeficitRoundRobin:
                     )
             # No head request was affordable this rotation; every visited
             # deficit just grew by quantum × weight, so a later rotation
-            # must succeed — bounded by max(cost_units)/quantum rounds.
+            # must succeed — bounded by 1/(quantum × weight) rounds.

@@ -20,7 +20,6 @@ tie-breaks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,9 +37,7 @@ class RequestStream:
 
     ``payloads`` is the pool of payload dicts requests draw from
     (uniformly, with ``repeat_fraction`` re-issuing an earlier draw —
-    the cache-hit knob); an empty pool sends empty payloads, which is
-    what the health/metrics routes want.  ``deadline`` is a *relative*
-    SLO in simulated seconds (absolute deadline = arrival + deadline).
+    the cache-hit knob); an empty pool sends empty payloads.
     """
 
     tenant: str
@@ -50,9 +47,7 @@ class RequestStream:
     priority: str = "interactive"
     start: float = 0.0
     phases: tuple = ()
-    deadline: float = math.inf
     repeat_fraction: float = 0.0
-    cost_units: float = 1.0
     payloads: tuple = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
@@ -66,8 +61,6 @@ class RequestStream:
             raise ValueError(
                 f"repeat_fraction must be in [0, 1], got {self.repeat_fraction}"
             )
-        if self.deadline <= 0:
-            raise ValueError(f"deadline must be > 0, got {self.deadline}")
         for phase in self.phases:
             duration, multiplier = phase
             if duration <= 0 or multiplier <= 0:
@@ -139,8 +132,6 @@ def generate_requests(
             route=stream.route,
             priority=stream.priority,
             arrival=arrival,
-            deadline=arrival + stream.deadline,
             payload=payload,
-            cost_units=stream.cost_units,
         ))
     return requests

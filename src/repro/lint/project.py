@@ -3,7 +3,7 @@
 The engine summarizes every collected file once (:func:`summarize_module`)
 into a JSON-serializable fact dict — imports, classes, functions, the
 calls each function makes, nondeterministic primitive uses, RNG
-constructions, mutation sites, fault-site strings — and
+constructions, mutation sites, fault-site strings, optimizer imports — and
 :class:`ProjectContext` assembles those summaries into a conservatively
 resolved program graph the ``RL11xx`` interprocedural rules
 (:mod:`repro.lint.rules.interproc`) run fixpoint passes over.
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 # Bump whenever the summary shape changes: invalidates every cache entry.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 # Nondeterministic primitives (dotted call chains after alias expansion).
 # time.perf_counter / time.monotonic are deliberately exempt: they are the
@@ -60,6 +60,7 @@ _RNG_CONSTRUCTORS = {"default_rng", "SeedSequence", "Random", "RandomState"}
 
 _IN_PLACE_DATA_METHODS = {"fill", "sort", "put", "partition", "resize", "itemset"}
 _OPTIMIZER_HINTS = ("optim", "adam", "sgd", "rmsprop", "momentum")
+_OPTIM_MODULE = "repro.nn.optim"
 
 
 def module_name_for(display: str) -> str | None:
@@ -195,10 +196,15 @@ def _is_data_attr(node: ast.AST) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == "data"
 
 
+def _is_optim_module(dotted: str) -> bool:
+    return dotted == _OPTIM_MODULE or dotted.startswith(_OPTIM_MODULE + ".")
+
+
 def _summarize_function(
     fn: ast.FunctionDef | ast.AsyncFunctionDef,
     imports: dict[str, str],
     class_name: str | None,
+    optim_imported: bool,
 ) -> dict:
     args = fn.args
     all_args = list(args.posonlyargs) + list(args.args)
@@ -331,8 +337,9 @@ def _summarize_function(
         elif callee_last == "backward" and chain is not None and len(chain) > 1:
             out["mutations"].append([".backward() call", node.lineno, raw])
         elif callee_last == "step" and chain is not None and len(chain) > 1:
+            # Once the module imports the optimizers, any `.step()` is one.
             receiver = ".".join(chain[:-1]).lower()
-            if any(hint in receiver for hint in _OPTIMIZER_HINTS):
+            if optim_imported or any(hint in receiver for hint in _OPTIMIZER_HINTS):
                 out["mutations"].append(["optimizer step", node.lineno, raw])
         elif (
             callee_last in _IN_PLACE_DATA_METHODS
@@ -382,9 +389,12 @@ def summarize_module(tree: ast.Module, display: str) -> dict:
         package = module.rsplit(".", 1)[0] if "." in module else ""
 
     imports: dict[str, str] = {}
+    optim_imports: set[int] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
+                if _is_optim_module(alias.name):
+                    optim_imports.add(node.lineno)
                 if alias.asname:
                     imports[alias.asname] = alias.name
                 else:
@@ -400,6 +410,8 @@ def summarize_module(tree: ast.Module, display: str) -> dict:
                     continue
                 local = alias.asname or alias.name
                 imports[local] = f"{base}.{alias.name}" if base else alias.name
+                if _is_optim_module(imports[local]):
+                    optim_imports.add(node.lineno)
 
     classes: dict[str, dict] = {}
     functions: dict[str, dict] = {}
@@ -418,13 +430,17 @@ def summarize_module(tree: ast.Module, display: str) -> dict:
                 if isinstance(target, ast.Name):
                     site_constants[target.id] = strings
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            functions[node.name] = _summarize_function(node, imports, None)
+            functions[node.name] = _summarize_function(
+                node, imports, None, bool(optim_imports)
+            )
         elif isinstance(node, ast.ClassDef):
             info: dict = {"methods": [], "attr_types": {}, "line": node.lineno}
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     info["methods"].append(item.name)
-                    fact = _summarize_function(item, imports, node.name)
+                    fact = _summarize_function(
+                        item, imports, node.name, bool(optim_imports)
+                    )
                     functions[f"{node.name}.{item.name}"] = fact
                     for var, cls in fact["var_types"].items():
                         if var.startswith("self."):
@@ -436,6 +452,7 @@ def summarize_module(tree: ast.Module, display: str) -> dict:
         "module": module,
         "display": display,
         "imports": imports,
+        "optim_imports": sorted(optim_imports),
         "classes": classes,
         "functions": functions,
         "site_constants": site_constants,

@@ -147,8 +147,8 @@ class ProjectRule(Rule):
     Project rules never see individual :class:`FileContext` objects; the
     engine calls :meth:`check_project` exactly once per run with the
     :class:`~repro.lint.project.ProjectContext` built from every collected
-    file.  ``path_markers`` is unused (the rule decides relevance from the
-    program graph itself).
+    file.  The engine does not filter files by ``path_markers``; a rule
+    may read them (via :meth:`applies`) to pick its roots in the graph.
     """
 
     scope = "project"

@@ -17,15 +17,14 @@ Families (stable id prefixes, see DESIGN.md § "Static analysis"):
   call sites, RL702 no ambient-state ``jobs``/``seed`` values;
 * :mod:`~repro.lint.rules.faults` — RL801 overbroad except handlers that
   would swallow injected faults in the fault-wired packages;
-* :mod:`~repro.lint.rules.serve` — RL901 read-only inference contract
-  (no training, no weight writes) under ``repro/serve/``;
 * :mod:`~repro.lint.rules.kernels` — RL1001 batched-kernel contract (no
   per-pair scoring/composition loops under ``repro/serve/`` and
   ``repro/er/``);
 * :mod:`~repro.lint.rules.interproc` — whole-program RL1101 determinism
   taint, RL1102 interprocedural seed flow, RL1103 fault-site registry
-  coherence, RL1104 serve purity closure (run over the
-  :class:`~repro.lint.project.ProjectContext` call graph).
+  coherence, RL1104 serve purity (run over the
+  :class:`~repro.lint.project.ProjectContext` call graph).  RL1104
+  absorbed the per-file RL901 read-only rule; RL901 stays reserved.
 """
 
 from repro.lint.rules.autograd import BackwardContractRule, LoopCaptureRule
@@ -47,7 +46,6 @@ from repro.lint.rules.kernels import PerPairLoopRule
 from repro.lint.rules.mutation import InPlaceDataMutationRule
 from repro.lint.rules.obs_guard import ObsHotPathGuardRule
 from repro.lint.rules.par import ParAmbientStateRule, ParExplicitJobsRule
-from repro.lint.rules.serve import ServeReadOnlyRule
 
 __all__ = [
     "AllNamesExistRule",
@@ -67,7 +65,6 @@ __all__ = [
     "PerPairLoopRule",
     "SeedFlowRule",
     "ServePurityClosureRule",
-    "ServeReadOnlyRule",
     "StdlibRandomRule",
     "TimeSeededRule",
 ]

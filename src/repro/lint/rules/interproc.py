@@ -16,10 +16,10 @@ cross-file blind spots of the per-file families:
   ``site=`` string must resolve to a site declared in
   ``repro.faults.sites``, and every declared concrete site must be used
   somewhere (typos and dead sites both surface).
-* RL1104 — serve purity closure: the transitive call graph rooted in
-  ``repro/serve/`` must not reach ``.fit``/optimizer-step/``.backward``/
-  ``.data``-writing functions anywhere in the tree (RL901 past the
-  package boundary).
+* RL1104 — serve purity: functions under ``repro/serve/`` and
+  ``repro/gateway/``, and everything they transitively call anywhere in
+  the tree, must not ``.fit``, step an optimizer, ``.backward`` or write
+  ``.data``; serving modules must not import ``repro.nn.optim``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ _SITE_SUBSET_NAMES = ("CORRUPT_SITES",)
 
 
 # The gateway is part of the online serving surface: it inherits both the
-# determinism-sink status (RL1101) and the purity-closure roots (RL1104).
+# determinism-sink status (RL1101) and the purity roots (RL1104).
 _SERVING_MARKERS = ("/repro/serve/", "/repro/gateway/")
 
 
@@ -298,30 +298,49 @@ class FaultSiteCoherenceRule(ProjectRule):
 
 @register
 class ServePurityClosureRule(ProjectRule):
-    """RL1104: nothing reachable from repro/serve may train or write weights."""
+    """RL1104: serving code must be inference-only, over its whole closure."""
 
     id = "RL1104"
     name = "serve-purity-closure"
     description = (
-        "a function under repro/serve/ transitively calls, anywhere in the "
-        "tree, a function that trains (.fit), steps an optimizer, runs "
-        ".backward(), or writes a .data attribute; the read-only serving "
-        "contract (RL901) must hold over the whole call-graph closure, "
-        "not just the serve package's own files"
+        "code under repro/serve/ or repro/gateway/ serves a frozen model: "
+        "neither a serving function nor anything it transitively calls may "
+        "train (.fit), import or step an optimizer, run .backward(), or "
+        "write a .data attribute; such a call breaks the read-only "
+        "inference contract that makes serving answers reproducible and "
+        "parameter fingerprints stable"
     )
+    # Roots of the closure; the gateway fronts the serving stack, so it is
+    # held to the same contract.
+    path_markers = _SERVING_MARKERS
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+        for module in sorted(project.modules):
+            summary = project.modules[module]
+            if self.applies(summary["display"]):
+                for line in summary["optim_imports"]:
+                    yield _finding(
+                        self.id, summary["display"], line,
+                        "optimizer import in serving code; the serving layer "
+                        "must never update weights",
+                    )
         roots = [
             fid for fid in sorted(project.functions)
-            if _in_serve(project.display_of(fid))
+            if self.applies(project.display_of(fid))
         ]
-        if not roots:
-            return
+        for root in roots:
+            for kind, line, detail in project.functions[root]["mutations"]:
+                suffix = f" ({detail})" if detail else ""
+                yield _finding(
+                    self.id, project.display_of(root), line,
+                    f"serve code performs a {kind}{suffix} in "
+                    f"{project.short(root)}; serve a model that is already "
+                    "fitted and keep its weights read-only",
+                )
 
         def mutates_outside_serve(fid: str) -> bool:
-            # In-package mutation is RL901's finding; the closure rule owns
-            # everything past the package boundary.
-            return bool(project.functions[fid]["mutations"]) and not _in_serve(
+            # A serving function's own mutation is reported above.
+            return bool(project.functions[fid]["mutations"]) and not self.applies(
                 project.display_of(fid)
             )
 

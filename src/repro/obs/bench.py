@@ -100,7 +100,7 @@ def build_record(
     started_unix: float | None = None,
     wall_time_seconds: float | None = None,
     span: Span | None = None,
-    metrics_snapshot: dict | None = None,
+    metrics: dict | None = None,
 ) -> dict:
     """Assemble a schema-version-1 bench record (not yet written to disk)."""
     if not experiment_id:
@@ -121,7 +121,7 @@ def build_record(
         ),
         "rows": [sanitize(row) for row in rows],
         "metrics": sanitize(
-            metrics_snapshot if metrics_snapshot is not None else REGISTRY.snapshot()
+            metrics if metrics is not None else REGISTRY.snapshot()
         ),
         "spans": sanitize(span.to_dict()) if span is not None else None,
     }

@@ -13,9 +13,10 @@ queries cost one model invocation, not N.
 Read-only contract
 ------------------
 Serving never trains.  The service puts the matcher in eval mode at
-construction and it stays there; lint rule RL901 statically bans ``.fit``,
-``optimizer.step``/``.backward`` and ``.data`` mutation anywhere under
-``repro/serve/``, and :meth:`parameter_fingerprint` lets tests assert the
+construction and it stays there; lint rule RL1104 statically bans ``.fit``,
+``optimizer.step``/``.backward`` and ``.data`` mutation under
+``repro/serve/`` and in everything it calls, and
+:meth:`parameter_fingerprint` lets tests assert the
 weights are byte-identical before and after any amount of traffic.
 
 Fault wiring

@@ -59,12 +59,11 @@ def match_router(service):
 
 
 def match_request(request_id, record, *, tenant="t0", arrival=0.0,
-                  priority="interactive", cost_units=1.0):
+                  priority="interactive"):
     """One match-route request around a query record."""
     return GatewayRequest(
         request_id=request_id, tenant=tenant, route="match",
         priority=priority, arrival=arrival, payload={"record": record},
-        cost_units=cost_units,
     )
 
 

@@ -1,8 +1,6 @@
-"""Gateway end-to-end: differential answers, determinism, snapshots, errors."""
+"""Gateway end-to-end: differential answers, determinism, admission, errors."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 
@@ -13,7 +11,6 @@ from repro.gateway import (
     MatchRouter,
     RouteCost,
 )
-from repro.loop import ModelRegistry
 from repro.serve import MatchService
 from tests.gateway.conftest import match_request
 
@@ -97,78 +94,11 @@ class TestAdmission:
         for result in report.shed:
             assert result.status == "shed"
             assert result.answer is None and result.finish is None
-            assert result.latency is None and result.deadline_met is None
+            assert result.latency is None and result.reason == "admission"
         assert report.shed_rate == pytest.approx(len(report.shed) / len(requests))
 
 
-class TestSnapshots:
-    def test_health_snapshot_shape(
-        self, match_requests, trained_matcher, built_index
-    ):
-        registry = ModelRegistry()
-        version = registry.register(trained_matcher)
-        registry.promote(version.version_id)
-        service = MatchService(trained_matcher, built_index, jobs=1)
-        gateway = Gateway(
-            [MatchRouter(service)],
-            config=GatewayConfig(high_water=4, low_water=1),
-            registry=registry,
-        )
-        gateway.run(match_requests)
-        snapshot = gateway.health_snapshot()
-        assert snapshot["status"] == "ok"
-        assert snapshot["policy"] == "priority"
-        assert snapshot["routes"] == ["health", "match", "metrics"]
-        assert snapshot["depth"] == {"interactive": 0, "batch": 0}
-        assert snapshot["fingerprint"] == service.parameter_fingerprint()
-        assert snapshot["valve"]["state"] == "open"
-        assert snapshot["registry"] == {
-            "versions": [version.version_id], "active": version.version_id,
-        }
-
-    def test_health_route_answers_the_snapshot(
-        self, trained_matcher, built_index
-    ):
-        gateway = fresh_gateway(trained_matcher, built_index)
-        request = GatewayRequest(request_id=0, tenant="ops", route="health")
-        report = gateway.run([request])
-        assert report.completed[0].answer["status"] == "ok"
-
-    def test_metrics_snapshot_shape(
-        self, match_requests, trained_matcher, built_index
-    ):
-        gateway = fresh_gateway(
-            trained_matcher, built_index, admission={"match": (400.0, 2)}
-        )
-        report = gateway.run(match_requests)
-        snapshot = gateway.metrics_snapshot()
-        assert snapshot["completed"] == len(report.completed)
-        assert snapshot["shed"] == len(report.shed)
-        match_stats = snapshot["routes"]["match"]
-        assert set(match_stats) == {"completed", "p50_ms", "p95_ms", "p99_ms", "shed"}
-        assert match_stats["p50_ms"] <= match_stats["p95_ms"] <= match_stats["p99_ms"]
-        assert set(snapshot["tenants"]) == {"t0"}
-
-
 class TestReportHelpers:
-    def test_deadlines_are_metadata_never_drops(
-        self, query_records, trained_matcher, built_index
-    ):
-        # An already-hopeless deadline still gets answered — expiry-
-        # dropping would make WHAT is answered depend on scheduling.
-        requests = [
-            GatewayRequest(
-                request_id=i, tenant="t0", route="match",
-                arrival=0.001 * i, deadline=0.001 * i + 1e-9,
-                payload={"record": query_records[i]},
-            )
-            for i in range(4)
-        ]
-        report = fresh_gateway(trained_matcher, built_index).run(requests)
-        assert len(report.completed) == 4
-        assert all(r.deadline_met is False for r in report.completed)
-        assert report.deadline_hit_rate() == 0.0
-
     def test_completed_share_sums_to_one(
         self, query_records, trained_matcher, built_index
     ):
@@ -193,15 +123,15 @@ class TestErrors:
         with pytest.raises(
             ValueError,
             match=r"request 7 targets unknown route 'nope'; installed: "
-                  r"\['health', 'match', 'metrics'\]",
+                  r"\['match'\]",
         ):
             gateway.run([bad])
 
     def test_duplicate_request_id(self, trained_matcher, built_index):
         gateway = fresh_gateway(trained_matcher, built_index)
         requests = [
-            GatewayRequest(request_id=3, tenant="t0", route="health"),
-            GatewayRequest(request_id=3, tenant="t1", route="health"),
+            GatewayRequest(request_id=3, tenant="t0", route="match"),
+            GatewayRequest(request_id=3, tenant="t1", route="match"),
         ]
         with pytest.raises(ValueError, match=r"duplicate request_id 3"):
             gateway.run(requests)
@@ -230,15 +160,6 @@ class TestValidationMessages:
             GatewayRequest(request_id=0, tenant="t", route="match", priority="urgent")
         with pytest.raises(ValueError, match=r"arrival must be >= 0, got -0.1"):
             GatewayRequest(request_id=0, tenant="t", route="match", arrival=-0.1)
-        with pytest.raises(
-            ValueError,
-            match=r"deadline must be >= arrival, got deadline=0.5 < arrival=1.0",
-        ):
-            GatewayRequest(
-                request_id=0, tenant="t", route="match", arrival=1.0, deadline=0.5
-            )
-        with pytest.raises(ValueError, match=r"cost_units must be > 0, got 0"):
-            GatewayRequest(request_id=0, tenant="t", route="match", cost_units=0)
 
     def test_config_messages(self):
         with pytest.raises(
@@ -253,7 +174,3 @@ class TestValidationMessages:
     def test_route_cost_message(self):
         with pytest.raises(ValueError, match=r"route cost terms must be >= 0"):
             RouteCost(base=-0.001)
-
-    def test_default_deadline_is_open(self):
-        request = GatewayRequest(request_id=0, tenant="t", route="match")
-        assert request.deadline == math.inf

@@ -44,7 +44,6 @@ class TestTwoClassScheduler:
         for i in range(3, 8):
             scheduler.enqueue(req(i, priority="batch"))
         assert scheduler.online_depth() == 3
-        assert scheduler.depths() == {"interactive": 3, "batch": 5}
         assert scheduler.has_pending
 
     def test_classes_constant(self):
@@ -81,7 +80,7 @@ class TestFifoScheduler:
         scheduler.enqueue(req(1, priority="batch"))
         assert scheduler.online_depth() == 1
         scheduler.next_group(8, batch_ok=True)
-        assert scheduler.depths() == {"interactive": 0, "batch": 0}
+        assert scheduler.online_depth() == 0
         assert scheduler.next_group(8, batch_ok=True) is None
 
     def test_max_batch_must_be_positive(self):

@@ -7,10 +7,9 @@ import pytest
 from repro.gateway import DeficitRoundRobin, DispatchGroup, GatewayRequest
 
 
-def req(request_id, tenant, *, route="match", cost=1.0, priority="interactive"):
+def req(request_id, tenant, *, route="match", priority="interactive"):
     return GatewayRequest(
-        request_id=request_id, tenant=tenant, route=route,
-        priority=priority, cost_units=cost,
+        request_id=request_id, tenant=tenant, route=route, priority=priority,
     )
 
 
@@ -85,13 +84,16 @@ class TestRotation:
 
 class TestDeficits:
     def test_expensive_head_is_not_starved(self):
-        # Tenant a's head request costs 5 quanta; it must eventually run.
-        drr = DeficitRoundRobin(quantum=1.0)
-        drr.enqueue(req(0, "a", cost=5.0))
+        # Tenant a's turn adds a fifth of a request's unit cost, so its
+        # head request needs five rotations of accrual; it must still run.
+        drr = DeficitRoundRobin(quantum=1.0, weights={"a": 0.2})
+        drr.enqueue(req(0, "a"))
         drr.enqueue(req(1, "b"))
+        drr.enqueue(req(2, "b"))
         groups = drain(drr, max_batch=4)
-        assert {g.tenant for g in groups} == {"a", "b"}
-        assert any(g.requests[0].cost_units == 5.0 for g in groups)
+        assert [(g.tenant, g.requests[0].request_id) for g in groups] == [
+            ("b", 1), ("b", 2), ("a", 0),
+        ]
 
     def test_emptied_queue_forfeits_deficit(self):
         drr = DeficitRoundRobin(quantum=10.0)
@@ -103,7 +105,7 @@ class TestDeficits:
         def schedule():
             drr = DeficitRoundRobin(quantum=3.0, weights={"b": 1.5})
             for i in range(9):
-                drr.enqueue(req(i, "abc"[i % 3], cost=1.0 + (i % 2)))
+                drr.enqueue(req(i, "abc"[i % 3]))
             return [
                 (g.tenant, tuple(r.request_id for r in g.requests))
                 for g in drain(drr, max_batch=4)

@@ -56,9 +56,9 @@ def test_lint_covers_repo_files(repo_result):
 
 def test_shard_layer_is_clean_under_serve_contracts(repo_result):
     # The scatter-gather router must satisfy the serving contracts with no
-    # baseline help: RL901 (read-only serving — no .fit/.backward/.data
-    # mutation) and RL1104 (serve purity closure) over the shard layer,
-    # plus RL401 guards on its hot metrics calls.  Zero findings in the
+    # baseline help: RL1104 (read-only serving — no .fit/.backward/.data
+    # mutation in the shard layer or anything it calls), plus RL401
+    # guards on its hot metrics calls.  Zero findings in the
     # repo-wide result could also mean the walk never saw the file, so a
     # targeted single-file run proves it is both visited and clean.
     shard_findings = [
@@ -120,16 +120,16 @@ def test_gate_exercises_interprocedural_rules(repo_result):
 def test_gateway_package_is_clean_under_the_hot_and_fault_contracts(repo_result):
     # The gateway package fronts the serving stack, so the same contracts
     # bite: RL401 (guarded metrics accessors), RL801 (no fault-swallowing
-    # excepts) and RL901 (read-only serving) name /repro/gateway/ in their
+    # excepts) and RL1104 (read-only serving) name /repro/gateway/ in their
     # path markers, and RL1103 keeps its three fault-site strings
     # (gateway.admit / gateway.route / gateway.dispatch) coherent with the
     # declared catalog.  Zero findings repo-wide could also mean the walk
     # never saw the package, so a targeted run proves every file — the six
-    # top-level modules plus the seven router modules and __init__ — is
+    # top-level modules plus the five router modules and __init__ — is
     # both visited and clean.
     from repro.lint.registry import get_rule
 
-    for rule_id in ("RL401", "RL801", "RL901"):
+    for rule_id in ("RL401", "RL801", "RL1104"):
         assert any(
             "/repro/gateway/" in marker for marker in get_rule(rule_id).path_markers
         ), f"{rule_id} does not cover the gateway package"
@@ -141,5 +141,5 @@ def test_gateway_package_is_clean_under_the_hot_and_fault_contracts(repo_result)
         + "\n".join(f"{f.rule_id} {f.path}:{f.line} {f.message}" for f in gateway_findings)
     )
     solo = lint_paths([REPO_ROOT / "src" / "repro" / "gateway"], root=REPO_ROOT)
-    assert solo.files_checked == 14
+    assert solo.files_checked == 12
     assert solo.findings == []

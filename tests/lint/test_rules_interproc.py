@@ -351,7 +351,7 @@ class TestServePurityClosure:
                 def handle(model, pairs):
                     return refresh(model, pairs)
             """,
-        }, rule_ids=["RL901", "RL1104"])
+        }, rule_ids=["RL1104"])
         assert rule_ids(result) == {"RL1104"}
         (finding,) = result.findings
         assert finding.path == "src/repro/serve/service.py"
@@ -362,13 +362,21 @@ class TestServePurityClosure:
         assert ".fit() call" in finding.message
 
     def test_in_package_mutation_stays_rl901s(self, lint_tree):
+        # RL1104 absorbed RL901: a serving function's own mutation is
+        # reported once, at the mutation, not again through its callers.
         result = lint_tree({
             "src/repro/serve/service.py": """
                 def retrain(model, pairs):
                     model.fit(pairs)
+
+                def handle(model, pairs):
+                    retrain(model, pairs)
             """,
-        }, rule_ids=["RL901", "RL1104"])
-        assert rule_ids(result) == {"RL901"}
+        }, rule_ids=["RL1104"])
+        (finding,) = result.findings
+        assert finding.rule_id == "RL1104" and finding.line == 3
+        assert "performs a .fit() call (model.fit)" in finding.message
+        assert "repro.serve.service.retrain" in finding.message
 
     def test_pure_closure_is_clean(self, lint_tree):
         result = lint_tree({

@@ -1,4 +1,9 @@
-"""RL901: read-only inference contract under repro/serve/."""
+"""RL1104: the read-only inference contract inside repro/serve/.
+
+These fixtures were written for the per-file RL901 rule, which RL1104
+absorbed: a serving function's own training call, optimizer import or
+step, ``.backward()`` or ``.data`` write is an RL1104 finding.
+"""
 
 from __future__ import annotations
 
@@ -12,29 +17,29 @@ class TestTrainingCalls:
         result = lint_file(SERVE_PATH, """
             def refresh(matcher, pairs):
                 matcher.fit(pairs)
-        """, rule_ids=["RL901"])
-        assert rule_ids(result) == {"RL901"}
+        """, rule_ids=["RL1104"])
+        assert rule_ids(result) == {"RL1104"}
 
     def test_backward_call_flagged(self, lint_file):
         result = lint_file(SERVE_PATH, """
             def probe(loss):
                 loss.backward()
-        """, rule_ids=["RL901"])
-        assert rule_ids(result) == {"RL901"}
+        """, rule_ids=["RL1104"])
+        assert rule_ids(result) == {"RL1104"}
 
     def test_optimizer_step_flagged(self, lint_file):
         result = lint_file(SERVE_PATH, """
             def tune(optimizer):
                 optimizer.step()
-        """, rule_ids=["RL901"])
-        assert rule_ids(result) == {"RL901"}
+        """, rule_ids=["RL1104"])
+        assert rule_ids(result) == {"RL1104"}
 
     def test_plain_step_allowed(self, lint_file):
         # A simulator's own `step` is not an optimizer step.
         result = lint_file(SERVE_PATH, """
             def drain(loop):
                 loop.step()
-        """, rule_ids=["RL901"])
+        """, rule_ids=["RL1104"])
         assert rule_ids(result) == set()
 
     def test_any_step_flagged_once_optim_imported(self, lint_file):
@@ -43,18 +48,18 @@ class TestTrainingCalls:
 
             def tune(s):
                 s.step()
-        """, rule_ids=["RL901"])
+        """, rule_ids=["RL1104"])
         # Both the import and the now-suspicious step are findings.
         assert len(result.findings) == 2
-        assert rule_ids(result) == {"RL901"}
+        assert rule_ids(result) == {"RL1104"}
 
     def test_optim_import_flagged(self, lint_file):
         for snippet in (
             "import repro.nn.optim\n",
             "from repro.nn import optim\n",
         ):
-            result = lint_file(SERVE_PATH, snippet, rule_ids=["RL901"])
-            assert rule_ids(result) == {"RL901"}
+            result = lint_file(SERVE_PATH, snippet, rule_ids=["RL1104"])
+            assert rule_ids(result) == {"RL1104"}
 
 
 class TestDataWrites:
@@ -62,29 +67,29 @@ class TestDataWrites:
         result = lint_file(SERVE_PATH, """
             def clamp(param, array):
                 param.data = array
-        """, rule_ids=["RL901"])
-        assert rule_ids(result) == {"RL901"}
+        """, rule_ids=["RL1104"])
+        assert rule_ids(result) == {"RL1104"}
 
     def test_data_augassign_flagged(self, lint_file):
         result = lint_file(SERVE_PATH, """
             def nudge(param, gradient):
                 param.data += gradient
-        """, rule_ids=["RL901"])
-        assert rule_ids(result) == {"RL901"}
+        """, rule_ids=["RL1104"])
+        assert rule_ids(result) == {"RL1104"}
 
     def test_data_slice_assign_flagged(self, lint_file):
         result = lint_file(SERVE_PATH, """
             def zero(param):
                 param.data[:] = 0.0
-        """, rule_ids=["RL901"])
-        assert rule_ids(result) == {"RL901"}
+        """, rule_ids=["RL1104"])
+        assert rule_ids(result) == {"RL1104"}
 
     def test_data_inplace_method_flagged(self, lint_file):
         result = lint_file(SERVE_PATH, """
             def wipe(param):
                 param.data.fill(0.0)
-        """, rule_ids=["RL901"])
-        assert rule_ids(result) == {"RL901"}
+        """, rule_ids=["RL1104"])
+        assert rule_ids(result) == {"RL1104"}
 
     def test_data_read_allowed(self, lint_file):
         result = lint_file(SERVE_PATH, """
@@ -95,7 +100,7 @@ class TestDataWrites:
                 for param in params:
                     digest.update(param.data.tobytes())
                 return digest.hexdigest()
-        """, rule_ids=["RL901"])
+        """, rule_ids=["RL1104"])
         assert rule_ids(result) == set()
 
 
@@ -105,7 +110,7 @@ class TestScoping:
             def answer(matcher, pairs):
                 matcher.classifier.eval()
                 return matcher.predict_proba(pairs)
-        """, rule_ids=["RL901"])
+        """, rule_ids=["RL1104"])
         assert rule_ids(result) == set()
 
     def test_rule_silent_outside_serve(self, lint_file):
@@ -113,7 +118,7 @@ class TestScoping:
             def retrain(matcher, pairs, optimizer):
                 matcher.fit(pairs)
                 optimizer.step()
-        """, rule_ids=["RL901"])
+        """, rule_ids=["RL1104"])
         assert rule_ids(result) == set()
 
     def test_real_serve_package_is_clean(self):
@@ -125,5 +130,5 @@ class TestScoping:
         package_dir = Path(repro.serve.__file__).parent
         repo_src = package_dir.parent.parent.parent
         result = lint_paths([package_dir], root=repo_src.parent,
-                            rule_ids=["RL901"])
+                            rule_ids=["RL1104"])
         assert result.findings == []

@@ -13,12 +13,12 @@ from repro.obs.bench import build_record, write_record
 
 
 def _valid_path(tmp_path, experiment_id="e1"):
-    record = build_record([{"metric": 1.0}], experiment_id, metrics_snapshot={})
+    record = build_record([{"metric": 1.0}], experiment_id, metrics={})
     return write_record(record, tmp_path)
 
 
 def _broken_path(tmp_path, experiment_id="e9"):
-    record = build_record([{"metric": 1.0}], experiment_id, metrics_snapshot={})
+    record = build_record([{"metric": 1.0}], experiment_id, metrics={})
     del record["git_sha"]
     del record["profile"]
     path = tmp_path / f"BENCH_{experiment_id.upper()}.json"
